@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -331,13 +332,34 @@ type submitRequest struct {
 	Adaptive *experiments.AdaptiveConfig `json:"adaptive,omitempty"`
 }
 
+// maxSubmitBytes bounds a submit body. The largest legitimate request, an
+// ext-adapt job with every adaptive option set, is a few hundred bytes.
+const maxSubmitBytes = 64 << 10
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.fenced.Load() {
 		httpError(w, http.StatusServiceUnavailable, "coordinator superseded by a newer epoch")
 		return
 	}
+	// The body is exactly one submitRequest object: unknown fields and
+	// anything but whitespace after the object are rejected.
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}

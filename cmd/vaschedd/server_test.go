@@ -189,6 +189,41 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounds checks the submit decoder's limits: an oversized
+// body is refused with 413 before it is buffered, and unknown fields or
+// data after the object are malformed requests.
+func TestSubmitBodyBounds(t *testing.T) {
+	_, ts := newTestServer(t)
+	pad := strings.Repeat(" ", maxSubmitBytes)
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"oversized", `{"experiment":"fig4",` + pad + `"scale":"quick"}`, http.StatusRequestEntityTooLarge},
+		{"unknown field", `{"experiment":"fig4","priority":9}`, http.StatusBadRequest},
+		{"trailing object", `{"experiment":"fig4"}{"experiment":"fig5"}`, http.StatusBadRequest},
+		{"trailing garbage", `{"experiment":"fig4"} x`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	// Trailing whitespace is not data: the job is accepted.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"experiment":"fig4"}`+"\n\t "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("trailing whitespace: status = %d", resp.StatusCode)
+	}
+}
+
 // TestAdaptiveJobEndToEnd submits an ext-adapt job with an adaptive
 // config, waits for it to finish, and checks (a) the config round-trips
 // through the job view and the WAL-persisted Params, (b) the typed

@@ -329,26 +329,16 @@ func (c *Chip) Evaluate(states []CoreState, cpu *cpusim.Model) (*EvalResult, err
 	return c.buildResult(states, sc.dyn, leak, tout, coreIPC, iters), nil
 }
 
-// EvaluateTransient advances the chip's thermal state by dtMS from
-// prevBlockTemps under the given core states: leakage is evaluated at the
-// previous temperatures (explicit) and conduction integrated implicitly.
-// Unlike Evaluate, temperatures carry inertia across calls — the model
-// activity-migration policies need. A nil prevBlockTemps starts from
-// ambient.
-func (c *Chip) EvaluateTransient(states []CoreState, cpu *cpusim.Model, prevBlockTemps []float64, dtMS float64) (*EvalResult, error) {
-	res := &EvalResult{}
-	if err := c.EvaluateTransientInto(res, states, cpu, prevBlockTemps, dtMS); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// EvaluateTransientInto is EvaluateTransient writing into a caller-owned
-// result: out's slices are reused when already sized for this chip, so a
-// tight stepping loop (internal/dynamic) allocates nothing per tick after
-// the first call. prevBlockTemps must not alias out.BlockTempC — keep a
-// separate previous-temperature buffer and copy out.BlockTempC into it
-// between steps.
+// EvaluateTransientInto advances the chip's thermal state by dtMS from
+// prevBlockTemps under the given core states, writing into a caller-owned
+// result: leakage is evaluated at the previous temperatures (explicit) and
+// conduction integrated implicitly. Unlike Evaluate, temperatures carry
+// inertia across calls — the model activity-migration policies need. A nil
+// prevBlockTemps starts from ambient. out's slices are reused when already
+// sized for this chip, so a tight stepping loop (core.System.Run)
+// allocates nothing per tick after the first call. prevBlockTemps must not
+// alias out.BlockTempC — keep a separate previous-temperature buffer and
+// copy out.BlockTempC into it between steps.
 func (c *Chip) EvaluateTransientInto(out *EvalResult, states []CoreState, cpu *cpusim.Model, prevBlockTemps []float64, dtMS float64) error {
 	sc := c.getScratch()
 	defer c.evalPool.Put(sc)

@@ -255,8 +255,8 @@ func TestEvaluateTransientConvergesToSteadyState(t *testing.T) {
 	var temps []float64
 	var last *EvalResult
 	for step := 0; step < 600; step++ {
-		last, err = c.EvaluateTransient(st, cpu, temps, 1)
-		if err != nil {
+		last = &EvalResult{}
+		if err := c.EvaluateTransientInto(last, st, cpu, temps, 1); err != nil {
 			t.Fatal(err)
 		}
 		temps = last.BlockTempC
@@ -280,8 +280,8 @@ func TestEvaluateTransientInertia(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := c.EvaluateTransient(st, cpu, nil, 1)
-	if err != nil {
+	one := &EvalResult{}
+	if err := c.EvaluateTransientInto(one, st, cpu, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	amb := c.Therm.Config().AmbientC
@@ -292,6 +292,8 @@ func TestEvaluateTransientInertia(t *testing.T) {
 	}
 }
 
+// TestEvaluateTransientIntoMatchesAllocatingForm checks that a result
+// reused across steps matches a freshly allocated one bit for bit.
 func TestEvaluateTransientIntoMatchesAllocatingForm(t *testing.T) {
 	c, cpu := testChip(t)
 	apps := workload.SPEC()
@@ -302,8 +304,8 @@ func TestEvaluateTransientIntoMatchesAllocatingForm(t *testing.T) {
 	prev := c.Therm.AmbientTemps(nil)
 	var reused EvalResult
 	for step := 0; step < 5; step++ {
-		want, err := c.EvaluateTransient(st, cpu, prev, 1)
-		if err != nil {
+		want := &EvalResult{}
+		if err := c.EvaluateTransientInto(want, st, cpu, prev, 1); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.EvaluateTransientInto(&reused, st, cpu, prev, 1); err != nil {

@@ -4,6 +4,11 @@
 // re-schedules threads every OS interval, the power manager re-solves the
 // per-core (V, f) assignment every DVFS interval, and the chip model
 // integrates instructions, power, and temperature in between.
+//
+// The same tick loop carries the optional scenario stages: thermal
+// transients (TransientThermal), a thermal-emergency governor clamping the
+// voltage ladder (EmergencyC/RecoverC), migration stalls
+// (MigrationPenaltyMS) and phase start offsets (StartOffsetsMS).
 package core
 
 import (
@@ -19,6 +24,7 @@ import (
 	"vasched/internal/sched"
 	"vasched/internal/sensors"
 	"vasched/internal/stats"
+	"vasched/internal/trace"
 	"vasched/internal/wearout"
 	"vasched/internal/workload"
 )
@@ -71,8 +77,9 @@ type Config struct {
 	// 100 ms and 10 ms.
 	OSIntervalMS   float64
 	DVFSIntervalMS float64
-	// SampleIntervalMS is the power-monitor sampling cadence used for the
-	// Figure 14 deviation statistic. Default: 1 ms.
+	// SampleIntervalMS is the tick: the simulated time one step of the
+	// timeline advances, which is also the power-monitor sampling cadence
+	// of the Figure 14 deviation statistic. Default: 1 ms.
 	SampleIntervalMS float64
 	// WarmupMS excludes an initial transient from the reported statistics:
 	// the timeline still executes (temperatures settle, the first DVFS
@@ -89,6 +96,23 @@ type Config struct {
 	// modelled: a migrated-to core heats up over tens of milliseconds
 	// instead of instantly.
 	TransientThermal bool
+	// EmergencyC, when positive, arms a thermal-emergency governor
+	// (pm.ThrottleGovernor): a tick whose hottest block exceeds EmergencyC
+	// clamps every core one more ladder level below the top, and a tick
+	// below RecoverC releases one level. The clamp caps the level the mode
+	// chooses and never goes below a core's lowest feasible level. Zero
+	// disables the governor.
+	EmergencyC float64
+	RecoverC   float64
+	// MigrationPenaltyMS is the stall charged to a thread each time the
+	// scheduler moves it to a different core (cold caches, state
+	// transfer). The thread burns power but retires no instructions for
+	// this long after a migration.
+	MigrationPenaltyMS float64
+	// StartOffsetsMS, when non-nil, gives each thread a head start into
+	// its phase cycle (len must equal the thread count). Progress and
+	// instruction counts still start at zero.
+	StartOffsetsMS []float64
 	// VTransitionUSPerStep is the time in microseconds a core stalls per
 	// voltage-ladder step it moves at a DVFS decision. The paper
 	// conservatively assumes the transition speeds of Xscale-era systems
@@ -106,9 +130,10 @@ type Config struct {
 	// can export decision-latency distributions without touching the
 	// aggregate DecideTime/DecideCount statistics.
 	DecideHist *metrics.LatencyHist
-	// Ctx, when non-nil, is threaded into Manager.Decide so tracing
-	// spans opened by the power manager nest under the caller's span.
-	// It is observability-only: the simulation ignores cancellation.
+	// Ctx, when non-nil, carries tracing state: spans opened by the power
+	// manager, and a governed run's per-tick dynamic.step spans, nest
+	// under the caller's span. It is observability-only: the simulation
+	// ignores cancellation.
 	Ctx context.Context
 }
 
@@ -140,6 +165,15 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: ModeDVFS requires a positive budget, got %+v", c.Budget)
 		}
 	}
+	if c.EmergencyC < 0 {
+		return fmt.Errorf("core: negative emergency threshold %.1fC", c.EmergencyC)
+	}
+	if c.RecoverC > c.EmergencyC {
+		return fmt.Errorf("core: recover threshold %.1fC above emergency %.1fC", c.RecoverC, c.EmergencyC)
+	}
+	if c.MigrationPenaltyMS < 0 {
+		return fmt.Errorf("core: negative migration penalty %v", c.MigrationPenaltyMS)
+	}
 	return nil
 }
 
@@ -156,8 +190,9 @@ type TracePoint struct {
 
 // RunStats aggregates one run.
 type RunStats struct {
-	// DurationMS is the simulated time.
+	// DurationMS is the simulated time and Steps the tick count.
 	DurationMS float64
+	Steps      int
 	// AvgPowerW/AvgDynW/AvgStatW are time-averaged chip powers.
 	AvgPowerW, AvgDynW, AvgStatW float64
 	// MIPS is the time-averaged total throughput.
@@ -167,19 +202,31 @@ type RunStats struct {
 	WeightedTP float64
 	// AvgActiveFreqHz is the time- and thread-averaged core frequency.
 	AvgActiveFreqHz float64
-	// MaxTempC is the hottest block temperature seen.
-	MaxTempC float64
+	// MaxTempC is the hottest block temperature seen; FinalMaxTempC the
+	// hottest at the last tick (the transient state the run ends in).
+	MaxTempC      float64
+	FinalMaxTempC float64
 	// EDSquared is AvgPowerW / MIPS^3 (proportional to true ED^2 at fixed
 	// work; see metrics.EDSquared).
 	EDSquared float64
 	// PowerDeviationPct is the Figure 14 statistic: mean |P - Ptarget| in
 	// percent over the monitor samples (0 unless ModeDVFS).
 	PowerDeviationPct float64
+	// Emergencies counts governor escalations and ThrottledMS the
+	// simulated time spent with a non-zero clamp.
+	Emergencies int
+	ThrottledMS float64
+	// Migrations counts threads moved between cores at OS re-schedules;
+	// PhaseSwitches counts workload phase-boundary crossings observed.
+	Migrations    int
+	PhaseSwitches int
 	// WearoutIndex is the per-die-core aging rate relative to nominal
 	// operation (see package wearout); WearoutMax is its maximum — the
-	// lifetime-limiting core.
-	WearoutIndex []float64
-	WearoutMax   float64
+	// lifetime-limiting core — and EquivalentTime the per-core integrated
+	// equivalent stress time (the quantity horizon runs extrapolate).
+	WearoutIndex   []float64
+	WearoutMax     float64
+	EquivalentTime []float64
 	// Instructions is per-thread executed instruction counts.
 	Instructions []float64
 	// DecideTime is total wall-clock time spent inside Manager.Decide,
@@ -207,7 +254,12 @@ func New(cfg Config) (*System, error) {
 
 // Run executes the workload for the given simulated duration and returns
 // aggregate statistics. The number of threads must not exceed the number
-// of cores.
+// of cores. Each tick of SampleIntervalMS runs, in order: the OS interval
+// (re-profile, re-map, charge migration stalls), the DVFS interval
+// (ModeDVFS only), the operating points under the governor's clamp, the
+// steady-state or transient chip evaluation, progress and phase
+// crossings, wearout, and the governor's look at the tick's peak
+// temperature.
 func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats, error) {
 	c := s.cfg.Chip
 	if len(apps) == 0 {
@@ -219,11 +271,27 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 	if durationMS <= 0 {
 		return nil, fmt.Errorf("core: non-positive duration %v", durationMS)
 	}
+	if s.cfg.StartOffsetsMS != nil && len(s.cfg.StartOffsetsMS) != len(apps) {
+		return nil, fmt.Errorf("core: %d start offsets for %d threads", len(s.cfg.StartOffsetsMS), len(apps))
+	}
 
+	// Streams 1-4 feed sensor noise, the scheduler, the power manager and
+	// the profiler. Derive consumes a parent draw, so the derivation order
+	// fixes every stream. Governed runs derive the power-manager stream
+	// last, and only with a manager to feed, because the thermal-emergency
+	// scenarios were recorded without one: their goldens pin the profiler
+	// stream that order yields.
+	governed := s.cfg.EmergencyC > 0
 	noise := sensors.NewNoise(s.cfg.SensorNoise, s.rng.Derive(1))
 	schedRNG := s.rng.Derive(2)
-	pmRNG := s.rng.Derive(3)
+	var pmRNG *stats.RNG
+	if !governed {
+		pmRNG = s.rng.Derive(3)
+	}
 	profRNG := s.rng.Derive(4)
+	if governed && s.cfg.Mode == ModeDVFS {
+		pmRNG = s.rng.Derive(3)
+	}
 
 	// Session-capable managers get per-run private state (simplex warm
 	// starts); the shared Config value stays safe for concurrent runs.
@@ -241,48 +309,85 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 	if err != nil {
 		return nil, err
 	}
+	governor := &pm.ThrottleGovernor{TripC: s.cfg.EmergencyC, RecoverC: s.cfg.RecoverC}
 	nT := len(apps)
 	elapsed := make([]float64, nT)
+	copy(elapsed, s.cfg.StartOffsetsMS)
 	instructions := make([]float64, nT)
 	refIPS := make([]float64, nT)
+	phaseIdx := make([]int, nT)
 	for i, a := range apps {
 		ipc, err := s.cfg.CPU.SteadyIPC(a, c.Tech.FNominalHz)
 		if err != nil {
 			return nil, err
 		}
 		refIPS[i] = ipc * c.Tech.FNominalHz
+		phaseIdx[i], _ = a.PhaseIndexAt(elapsed[i])
 	}
 
-	// UniFreq: the chip-wide frequency is the slowest core's rated Fmax.
-	uniFreq := 0.0
+	// UniFreq cores share one clock: it runs at the slowest core's rated
+	// frequency at the common supply, and the governor's clamp stops at
+	// the highest of the cores' lowest feasible levels.
+	vTop := len(c.Levels) - 1
+	var uniFreq []float64
+	uniFloor := 0
 	if s.cfg.Mode == ModeUniFreq {
-		uniFreq = c.FmaxNominal(0)
-		for core := 1; core < c.NumCores(); core++ {
-			if f := c.FmaxNominal(core); f < uniFreq {
-				uniFreq = f
+		uniFreq = make([]float64, len(c.Levels))
+		for l, v := range c.Levels {
+			uniFreq[l] = c.FmaxAt(0, v)
+			for core := 1; core < c.NumCores(); core++ {
+				uniFreq[l] = min(uniFreq[l], c.FmaxAt(core, v))
 			}
+		}
+		for core := 0; core < c.NumCores(); core++ {
+			uniFloor = max(uniFloor, c.MinLevelIndex(core))
 		}
 	}
 
 	var (
 		powerAcc, dynAcc, statAcc, mipsAcc, wtpAcc, freqAcc metrics.Accumulator
 		deviation                                           = metrics.NewDeviationTracker(s.cfg.Budget.PTargetW)
-		maxTemp                                             float64
-		decideTime                                          time.Duration
-		decideCount                                         int
 	)
+	out := &RunStats{DurationMS: durationMS, Instructions: instructions}
 
+	// Per-tick buffers: apart from steady-state evaluations and DVFS
+	// decisions, the loop allocates nothing. prevTemps chains the
+	// transient thermal state; eval's slices are recycled by
+	// EvaluateTransientInto.
 	var assignment sched.Assignment
 	var lastEval *chip.EvalResult
-	var tracePoints []TracePoint
-	levels := make([]int, nT) // active-core ladder levels (ModeDVFS)
+	var eval chip.EvalResult
+	var prevTemps []float64
+	levels := make([]int, nT) // ladder levels the mode chose (DVFS decisions)
 	stallMS := make([]float64, nT)
-	vTop := len(c.Levels) - 1
+	states := c.OffStates()
+	ipcs := make([]float64, nT)
+	freqs := make([]float64, nT)
+	coreVolts := make([]float64, c.NumCores())
+	depth := 0 // the governor's clamp in ladder levels
+
+	// Only governed runs open a span per tick, with migration and
+	// emergency events under it, as the recorded dynamic scenarios do: a
+	// span per tick of every Fig. 2 timeline would overflow a 1024-span
+	// trace ring such as the timeline-dvfs benchmark's. The deferred End
+	// closes a tick span left open by an error return.
+	var sp *trace.ActiveSpan
+	defer func() { sp.End() }()
 
 	now := 0.0
 	nextOS := 0.0
 	nextDVFS := 0.0
 	for now < durationMS-1e-9 {
+		dt := s.cfg.SampleIntervalMS
+		if rem := durationMS - now; dt > rem {
+			dt = rem
+		}
+		tickCtx := ctx
+		if governed {
+			tickCtx, sp = trace.Start(ctx, "dynamic.step",
+				trace.Int("tick", out.Steps), trace.Int("depth", depth))
+		}
+
 		// OS scheduling interval: re-profile and re-map threads.
 		if now >= nextOS-1e-9 {
 			// Expose current sensor temperatures to temperature-aware
@@ -298,13 +403,25 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 			if err != nil {
 				return nil, err
 			}
-			assignment, err = s.cfg.Scheduler.Assign(coreInfos, threadInfos, schedRNG)
+			next, err := s.cfg.Scheduler.Assign(coreInfos, threadInfos, schedRNG)
 			if err != nil {
 				return nil, err
 			}
-			if err := assignment.Validate(c.NumCores()); err != nil {
+			if err := next.Validate(c.NumCores()); err != nil {
 				return nil, err
 			}
+			moved := 0
+			for t := range assignment {
+				if next[t] != assignment[t] {
+					moved++
+					stallMS[t] += s.cfg.MigrationPenaltyMS
+				}
+			}
+			out.Migrations += moved
+			if governed && moved > 0 {
+				trace.Event(tickCtx, "dynamic.migrate", trace.Int("threads", moved))
+			}
+			assignment = next
 			nextOS += s.cfg.OSIntervalMS
 			// A re-map invalidates the previous DVFS decision.
 			for i := range levels {
@@ -320,10 +437,10 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 				return nil, err
 			}
 			start := time.Now()
-			lv, err := manager.Decide(ctx, plat, s.cfg.Budget, pmRNG)
+			lv, err := manager.Decide(tickCtx, plat, s.cfg.Budget, pmRNG)
 			d := time.Since(start)
-			decideTime += d
-			decideCount++
+			out.DecideTime += d
+			out.DecideCount++
 			if s.cfg.DecideHist != nil {
 				s.cfg.DecideHist.Observe(d.Seconds())
 			}
@@ -341,39 +458,32 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 			}
 			copy(levels, lv)
 			nextDVFS += s.cfg.DVFSIntervalMS
-		} else if s.cfg.Mode != ModeDVFS {
-			nextDVFS = now + s.cfg.DVFSIntervalMS
 		}
 
-		// Advance one monitor sample.
-		dt := s.cfg.SampleIntervalMS
-		if rem := durationMS - now; dt > rem {
-			dt = rem
-		}
-		states := c.OffStates()
-		freqs := make([]float64, nT)
+		// Operating points: the mode's ladder level, capped by the
+		// governor's clamp but never below a feasible level.
+		clear(states)
 		for t, app := range apps {
 			coreID := assignment[t]
-			var v, f float64
-			switch s.cfg.Mode {
-			case ModeUniFreq:
-				v, f = c.Tech.VddNominal, uniFreq
-			case ModeNUniFreq:
-				v, f = c.Tech.VddNominal, c.FmaxNominal(coreID)
-			case ModeDVFS:
-				v = c.Levels[levels[t]]
-				f = c.FmaxAt(coreID, v)
+			lvl := levels[t]
+			if limit := vTop - depth; lvl > limit {
+				lvl = max(limit, c.MinLevelIndex(coreID), uniFloor)
+			}
+			v := c.Levels[lvl]
+			f := c.FmaxAt(coreID, v)
+			if s.cfg.Mode == ModeUniFreq {
+				f = uniFreq[lvl]
 			}
 			states[coreID] = chip.CoreState{App: app, V: v, F: f, ElapsedMS: elapsed[t]}
 			freqs[t] = f
 		}
 		var res *chip.EvalResult
 		if s.cfg.TransientThermal {
-			var prev []float64
-			if lastEval != nil {
-				prev = lastEval.BlockTempC
-			}
-			res, err = c.EvaluateTransient(states, s.cfg.CPU, prev, dt)
+			// The step reads the previous temperatures from a copy:
+			// EvaluateTransientInto must not read the buffer it writes.
+			prevTemps = append(prevTemps[:0], eval.BlockTempC...)
+			err = c.EvaluateTransientInto(&eval, states, s.cfg.CPU, prevTemps, dt)
+			res = &eval
 		} else {
 			res, err = c.Evaluate(states, s.cfg.CPU)
 		}
@@ -382,11 +492,11 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 		}
 		lastEval = res
 
-		ipcs := make([]float64, nT)
-		for t := range apps {
+		// Progress, stalls and phase crossings.
+		for t, app := range apps {
 			ipcs[t] = res.CoreIPC[assignment[t]]
-			// Voltage transitions stall the core: it burns a share of this
-			// sample without retiring instructions.
+			// Stalls (voltage transitions, migrations) burn a share of
+			// this sample without retiring instructions.
 			if stallMS[t] > 0 {
 				stall := stallMS[t]
 				if stall > dt {
@@ -397,27 +507,39 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 			}
 			instructions[t] += ipcs[t] * freqs[t] * dt / 1000
 			elapsed[t] += dt
+			if idx, _ := app.PhaseIndexAt(elapsed[t]); idx != phaseIdx[t] {
+				phaseIdx[t] = idx
+				out.PhaseSwitches++
+			}
 		}
-		coreTemps := make([]float64, c.NumCores())
-		coreVolts := make([]float64, c.NumCores())
-		for core := range coreTemps {
-			coreTemps[core] = res.CoreTempC[core]
+		for core := range coreVolts {
 			coreVolts[core] = states[core].V // 0 when powered off
 		}
-		if err := aging.Add(coreTemps, coreVolts, dt); err != nil {
+		if err := aging.Add(res.CoreTempC, coreVolts, dt); err != nil {
 			return nil, err
 		}
+		mt := c.Therm.MaxTemp(res.BlockTempC)
+		mips := metrics.MIPS(ipcs, freqs)
 		if s.cfg.CaptureTrace {
-			out := TracePoint{
-				TimeMS:   now,
-				PowerW:   res.TotalW,
-				MIPS:     metrics.MIPS(ipcs, freqs),
-				MaxTempC: c.Therm.MaxTemp(res.BlockTempC),
-			}
-			tracePoints = append(tracePoints, out)
+			out.Trace = append(out.Trace, TracePoint{TimeMS: now, PowerW: res.TotalW, MIPS: mips, MaxTempC: mt})
 		}
+
+		// Thermal emergency governor: observe this tick's peak, adjust the
+		// clamp for the next.
+		out.FinalMaxTempC = mt
+		if governed {
+			newDepth, tripped := governor.Observe(mt, vTop)
+			if tripped {
+				trace.Event(tickCtx, "dynamic.emergency",
+					trace.Int("depth", newDepth), trace.String("maxC", fmt.Sprintf("%.1f", mt)))
+			}
+			depth = newDepth
+			if depth > 0 {
+				out.ThrottledMS += dt
+			}
+		}
+
 		if now+dt > s.cfg.WarmupMS {
-			mips := metrics.MIPS(ipcs, freqs)
 			wtp, err := metrics.WeightedThroughput(ipcs, freqs, refIPS)
 			if err != nil {
 				return nil, err
@@ -431,30 +553,24 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 			if s.cfg.Mode == ModeDVFS {
 				deviation.Sample(res.TotalW)
 			}
-			if mt := c.Therm.MaxTemp(res.BlockTempC); mt > maxTemp {
-				maxTemp = mt
-			}
+			out.MaxTempC = max(out.MaxTempC, mt)
 		}
+		sp.End()
+		out.Steps++
 		now += dt
 	}
 
-	out := &RunStats{
-		DurationMS:        durationMS,
-		AvgPowerW:         powerAcc.Mean(),
-		AvgDynW:           dynAcc.Mean(),
-		AvgStatW:          statAcc.Mean(),
-		MIPS:              mipsAcc.Mean(),
-		WeightedTP:        wtpAcc.Mean(),
-		AvgActiveFreqHz:   freqAcc.Mean(),
-		MaxTempC:          maxTemp,
-		PowerDeviationPct: deviation.MeanPct(),
-		Instructions:      instructions,
-		DecideTime:        decideTime,
-		DecideCount:       decideCount,
-	}
-	out.Trace = tracePoints
+	out.AvgPowerW = powerAcc.Mean()
+	out.AvgDynW = dynAcc.Mean()
+	out.AvgStatW = statAcc.Mean()
+	out.MIPS = mipsAcc.Mean()
+	out.WeightedTP = wtpAcc.Mean()
+	out.AvgActiveFreqHz = freqAcc.Mean()
+	out.PowerDeviationPct = deviation.MeanPct()
+	out.Emergencies = governor.Emergencies()
 	out.WearoutIndex = aging.Index()
 	out.WearoutMax = aging.Max()
+	out.EquivalentTime = aging.EquivalentTime()
 	out.EDSquared = metrics.EDSquared(out.AvgPowerW, out.MIPS)
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"vasched/internal/sched"
 	"vasched/internal/stats"
 	"vasched/internal/thermal"
+	"vasched/internal/trace"
 	"vasched/internal/varmodel"
 	"vasched/internal/workload"
 )
@@ -346,5 +348,144 @@ func TestCaptureTrace(t *testing.T) {
 	}
 	if st2.Trace != nil {
 		t.Fatal("trace captured without the flag")
+	}
+}
+
+// governedRun runs 8 threads for 40 ms with the emergency governor armed
+// at emergencyC (zero leaves it off), recording spans into tr.
+func governedRun(t *testing.T, mode Mode, mgr pm.Manager, emergencyC float64, tr *trace.Tracer) *RunStats {
+	t.Helper()
+	c, cpu := testSystemParts(t)
+	cfg := Config{
+		Chip: c, CPU: cpu, Scheduler: mustPolicy(t, sched.NameVarFAppIPC),
+		Mode: mode, Manager: mgr, Budget: pm.Budget{PTargetW: 500, PCoreMaxW: 50},
+		SampleIntervalMS: 2, Seed: 17,
+		Ctx: trace.WithTracer(context.Background(), tr),
+	}
+	if emergencyC > 0 {
+		cfg.EmergencyC, cfg.RecoverC = emergencyC, emergencyC-2
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.Run(workload.Mix(stats.NewRNG(17), 8), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func countSpans(tr *trace.Tracer, name string) int {
+	n := 0
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+func TestGovernorThrottlesSteadyState(t *testing.T) {
+	for _, mode := range []Mode{ModeUniFreq, ModeNUniFreq} {
+		freeTr, hotTr := trace.New(1024), trace.New(1024)
+		free := governedRun(t, mode, nil, 0, freeTr)
+		if free.Emergencies != 0 || free.ThrottledMS != 0 {
+			t.Fatalf("%v: ungoverned run throttled: %+v", mode, free)
+		}
+		if n := countSpans(freeTr, "dynamic.step"); n != 0 {
+			t.Fatalf("%v: ungoverned run opened %d tick spans", mode, n)
+		}
+		// A threshold below the ungoverned peak must trip, throttle, and
+		// lower the clock.
+		hot := governedRun(t, mode, nil, free.MaxTempC-3, hotTr)
+		if hot.Emergencies == 0 || hot.ThrottledMS <= 0 {
+			t.Fatalf("%v: governor never engaged: %+v", mode, hot)
+		}
+		if hot.AvgActiveFreqHz >= free.AvgActiveFreqHz {
+			t.Fatalf("%v: throttled clock %v not below %v", mode, hot.AvgActiveFreqHz, free.AvgActiveFreqHz)
+		}
+		if n := countSpans(hotTr, "dynamic.step"); n != hot.Steps {
+			t.Fatalf("%v: %d tick spans for %d ticks", mode, n, hot.Steps)
+		}
+		if n := countSpans(hotTr, "dynamic.emergency"); n != hot.Emergencies {
+			t.Fatalf("%v: %d emergency events for %d emergencies", mode, n, hot.Emergencies)
+		}
+	}
+}
+
+func TestGovernorClampsDVFS(t *testing.T) {
+	free := governedRun(t, ModeDVFS, pm.NewLinOpt(), 0, nil)
+	hot := governedRun(t, ModeDVFS, pm.NewLinOpt(), free.MaxTempC-3, nil)
+	if hot.Emergencies == 0 || hot.ThrottledMS <= 0 {
+		t.Fatalf("governor never engaged: %+v", hot)
+	}
+	if hot.DecideCount != free.DecideCount {
+		t.Fatalf("governor changed the DVFS cadence: %d vs %d decisions", hot.DecideCount, free.DecideCount)
+	}
+	if hot.AvgActiveFreqHz >= free.AvgActiveFreqHz {
+		t.Fatalf("clamped clock %v not below %v", hot.AvgActiveFreqHz, free.AvgActiveFreqHz)
+	}
+}
+
+func TestMigrationPenaltyAndStartOffsets(t *testing.T) {
+	c, cpu := testSystemParts(t)
+	apps := workload.Mix(stats.NewRNG(3), 8)
+	run := func(penaltyMS float64, offsets []float64) *RunStats {
+		// The random policy re-draws the mapping every OS interval.
+		sys, err := New(Config{
+			Chip: c, CPU: cpu, Scheduler: mustPolicy(t, sched.NameRandom),
+			Mode: ModeNUniFreq, OSIntervalMS: 10, SampleIntervalMS: 2, Seed: 3,
+			MigrationPenaltyMS: penaltyMS, StartOffsetsMS: offsets,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sys.Run(apps, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	free := run(0, nil)
+	if free.Migrations == 0 {
+		t.Fatal("random policy never migrated")
+	}
+	paid := run(5, nil)
+	if paid.Migrations != free.Migrations || paid.MIPS >= free.MIPS {
+		t.Fatalf("penalty: %d vs %d migrations, %v vs %v MIPS", paid.Migrations, free.Migrations, paid.MIPS, free.MIPS)
+	}
+	// Start every thread 1 ms before the end of its phase cycle: each
+	// crosses into its next cycle on the first tick.
+	offsets := make([]float64, len(apps))
+	for i, a := range apps {
+		for _, p := range a.Phases {
+			offsets[i] += p.DurationMS
+		}
+		offsets[i]--
+	}
+	if shifted := run(0, offsets); shifted.PhaseSwitches <= free.PhaseSwitches {
+		t.Fatalf("offsets crossed %d phase boundaries, unshifted %d", shifted.PhaseSwitches, free.PhaseSwitches)
+	}
+}
+
+func TestScenarioValidation(t *testing.T) {
+	c, cpu := testSystemParts(t)
+	pol := mustPolicy(t, sched.NameRandom)
+	for name, cfg := range map[string]Config{
+		"negative migration penalty": {Chip: c, CPU: cpu, Scheduler: pol, MigrationPenaltyMS: -1},
+		"recover above emergency":    {Chip: c, CPU: cpu, Scheduler: pol, EmergencyC: 70, RecoverC: 80},
+		"negative emergency":         {Chip: c, CPU: cpu, Scheduler: pol, EmergencyC: -5, RecoverC: -10},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	sys, err := New(Config{Chip: c, CPU: cpu, Scheduler: pol, StartOffsetsMS: []float64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(workload.Mix(stats.NewRNG(1), 4), 10); err == nil {
+		t.Fatal("2 start offsets for 4 threads accepted")
 	}
 }

@@ -1,33 +1,25 @@
-// Package dynamic is the time-stepped scenario engine: where package core
-// executes the paper's steady-state evaluation timeline, this engine
-// advances the thermal RC network tick by tick (thermal.Transient behind
-// chip.EvaluateTransientInto, zero allocations per tick), re-evaluates
-// per-core power from each thread's *current* workload phase, throttles
-// DVFS on thermal emergencies with hysteresis (pm.ThrottleGovernor), and
-// feeds a wearout.Accumulator every tick so long-horizon runs (horizon.go)
-// can degrade Vth across simulated years and re-schedule against the
-// drifted die.
+// Package dynamic configures the time-stepped scenarios on core's timeline:
+// Run maps a scenario onto core.System.Run with every core at its own
+// maximum frequency (ModeNUniFreq), backward-Euler thermal transients
+// (chip.EvaluateTransientInto, zero allocations per tick), the thermal
+// emergency governor armed (pm.ThrottleGovernor), migration stalls and
+// phase start offsets. Long-horizon runs (horizon.go) degrade Vth across
+// simulated years from the measured wearout rates and re-schedule against
+// the drifted die.
 //
 // Everything is deterministic: results are a pure function of (Config,
-// apps, duration). The engine backs the ext-transient, ext-phase-mig and
+// apps, duration). The package backs the ext-transient, ext-phase-mig and
 // ext-wearout experiments, whose goldens pin its behaviour byte-for-byte
 // across worker counts, cluster shards, and cache states.
 package dynamic
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"vasched/internal/chip"
+	"vasched/internal/core"
 	"vasched/internal/cpusim"
-	"vasched/internal/metrics"
-	"vasched/internal/pm"
 	"vasched/internal/sched"
-	"vasched/internal/sensors"
-	"vasched/internal/stats"
-	"vasched/internal/trace"
-	"vasched/internal/wearout"
 	"vasched/internal/workload"
 )
 
@@ -47,311 +39,58 @@ type Config struct {
 	// OSIntervalMS is the re-scheduling cadence (default 10 ms).
 	OSIntervalMS float64
 	// EmergencyC trips the thermal throttle; RecoverC releases it
-	// (defaults 85 / 80). See pm.ThrottleGovernor for the hysteresis
-	// rationale.
+	// (defaults 85 / EmergencyC-5). See pm.ThrottleGovernor for the
+	// hysteresis rationale.
 	EmergencyC float64
 	RecoverC   float64
 	// MigrationPenaltyMS is the stall charged to a thread each time the
-	// scheduler moves it to a different core (cold caches, state
-	// transfer). The thread burns power but retires no instructions for
-	// this long after a migration.
+	// scheduler moves it to a different core (core.Config).
 	MigrationPenaltyMS float64
 	// SensorNoise is the relative sigma of profiling measurements.
 	SensorNoise float64
 	// StartOffsetsMS, when non-nil, gives each thread a head start into
 	// its phase cycle (len must equal the thread count). The phase-shift
 	// experiments use it to place threads near phase boundaries so a
-	// short window still crosses them; progress and instruction counts
-	// still start at zero.
+	// short window still crosses them.
 	StartOffsetsMS []float64
-	// Wearout calibrates the aging model; the zero value selects
-	// wearout.DefaultParams.
-	Wearout wearout.Params
 	// Seed drives every stochastic choice.
 	Seed int64
 	// Ctx carries tracing state only; results must not depend on it.
 	Ctx context.Context
 }
 
-func (c *Config) setDefaults() {
-	if c.DtMS <= 0 {
-		c.DtMS = 1
-	}
-	if c.OSIntervalMS <= 0 {
-		c.OSIntervalMS = 10
-	}
-	if c.EmergencyC == 0 {
-		c.EmergencyC = 85
-	}
-	if c.RecoverC == 0 {
-		c.RecoverC = c.EmergencyC - 5
-	}
-	if c.Wearout == (wearout.Params{}) {
-		c.Wearout = wearout.DefaultParams()
-	}
-}
-
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
-	if c.Chip == nil || c.CPU == nil {
-		return errors.New("dynamic: Chip and CPU are required")
-	}
-	if c.Scheduler == nil {
-		return errors.New("dynamic: Scheduler is required")
-	}
-	if c.RecoverC > c.EmergencyC {
-		return fmt.Errorf("dynamic: recover threshold %.1fC above emergency %.1fC", c.RecoverC, c.EmergencyC)
-	}
-	if c.MigrationPenaltyMS < 0 {
-		return fmt.Errorf("dynamic: negative migration penalty %v", c.MigrationPenaltyMS)
-	}
-	return nil
-}
-
 // Result aggregates one dynamic run.
-type Result struct {
-	// DurationMS is the simulated time and Steps the tick count.
-	DurationMS float64
-	Steps      int
-	// AvgPowerW and MIPS are time-averaged chip power and throughput;
-	// WeightedTP normalises each thread by its reference speed.
-	AvgPowerW  float64
-	MIPS       float64
-	WeightedTP float64
-	// MaxTempC is the hottest block temperature seen over the run;
-	// FinalMaxTempC the hottest at the last tick (transient state).
-	MaxTempC      float64
-	FinalMaxTempC float64
-	// Emergencies counts throttle escalations and ThrottledMS the
-	// simulated time spent with a non-zero clamp.
-	Emergencies int
-	ThrottledMS float64
-	// Migrations counts threads moved between cores at OS re-schedules;
-	// PhaseSwitches counts workload phase-boundary crossings observed.
-	Migrations    int
-	PhaseSwitches int
-	// Instructions is per-thread executed instruction counts.
-	Instructions []float64
-	// WearoutIndex is the per-core aging rate relative to nominal,
-	// WearoutMax its maximum, and EquivalentTime the per-core integrated
-	// equivalent stress time (the quantity horizon runs extrapolate).
-	WearoutIndex   []float64
-	WearoutMax     float64
-	EquivalentTime []float64
-}
+type Result = core.RunStats
 
 // Run executes the scenario for durationMS simulated milliseconds.
 func Run(cfg Config, apps []*workload.AppProfile, durationMS float64) (*Result, error) {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if cfg.EmergencyC == 0 {
+		cfg.EmergencyC = 85
 	}
-	c := cfg.Chip
-	if len(apps) == 0 {
-		return nil, errors.New("dynamic: empty workload")
+	if cfg.RecoverC == 0 {
+		cfg.RecoverC = cfg.EmergencyC - 5
 	}
-	if len(apps) > c.NumCores() {
-		return nil, fmt.Errorf("dynamic: %d threads exceed %d cores", len(apps), c.NumCores())
+	if cfg.OSIntervalMS <= 0 {
+		cfg.OSIntervalMS = 10
 	}
-	if durationMS <= 0 {
-		return nil, fmt.Errorf("dynamic: non-positive duration %v", durationMS)
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	rng := stats.NewRNG(cfg.Seed)
-	noise := sensors.NewNoise(cfg.SensorNoise, rng.Derive(1))
-	schedRNG := rng.Derive(2)
-	profRNG := rng.Derive(4)
-
-	governor, err := pm.NewThrottleGovernor(cfg.EmergencyC, cfg.RecoverC)
+	sys, err := core.New(core.Config{
+		Chip:               cfg.Chip,
+		CPU:                cfg.CPU,
+		Scheduler:          cfg.Scheduler,
+		Mode:               core.ModeNUniFreq,
+		OSIntervalMS:       cfg.OSIntervalMS,
+		SampleIntervalMS:   cfg.DtMS,
+		TransientThermal:   true,
+		EmergencyC:         cfg.EmergencyC,
+		RecoverC:           cfg.RecoverC,
+		MigrationPenaltyMS: cfg.MigrationPenaltyMS,
+		StartOffsetsMS:     cfg.StartOffsetsMS,
+		SensorNoise:        cfg.SensorNoise,
+		Seed:               cfg.Seed,
+		Ctx:                cfg.Ctx,
+	})
 	if err != nil {
 		return nil, err
 	}
-	aging, err := wearout.NewAccumulator(cfg.Wearout, c.NumCores())
-	if err != nil {
-		return nil, err
-	}
-
-	nT := len(apps)
-	if cfg.StartOffsetsMS != nil && len(cfg.StartOffsetsMS) != nT {
-		return nil, fmt.Errorf("dynamic: %d start offsets for %d threads", len(cfg.StartOffsetsMS), nT)
-	}
-	coreInfos := sensors.CoreInfos(c)
-	elapsed := make([]float64, nT)
-	if cfg.StartOffsetsMS != nil {
-		copy(elapsed, cfg.StartOffsetsMS)
-	}
-	instructions := make([]float64, nT)
-	stallMS := make([]float64, nT)
-	phaseIdx := make([]int, nT)
-	refIPS := make([]float64, nT)
-	for i, a := range apps {
-		ipc, err := cfg.CPU.SteadyIPC(a, c.Tech.FNominalHz)
-		if err != nil {
-			return nil, err
-		}
-		refIPS[i] = ipc * c.Tech.FNominalHz
-		phaseIdx[i], _ = a.PhaseIndexAt(elapsed[i])
-	}
-
-	// Per-tick reusable state: the engine allocates nothing inside the
-	// stepping loop. prevTemps chains the transient thermal state; eval's
-	// slices are recycled by EvaluateTransientInto.
-	states := c.OffStates()
-	prevTemps := c.Therm.AmbientTemps(nil)
-	var eval chip.EvalResult
-	ipcs := make([]float64, nT)
-	freqs := make([]float64, nT)
-	coreVolts := make([]float64, c.NumCores())
-	var assignment sched.Assignment
-
-	var powerAcc, mipsAcc, wtpAcc metrics.Accumulator
-	res := &Result{DurationMS: durationMS}
-	top := len(c.Levels) - 1
-	depth := 0
-
-	now := 0.0
-	nextOS := 0.0
-	for now < durationMS-1e-9 {
-		dt := cfg.DtMS
-		if rem := durationMS - now; dt > rem {
-			dt = rem
-		}
-		stepCtx, sp := trace.Start(ctx, "dynamic.step",
-			trace.Int("tick", res.Steps), trace.Int("depth", depth))
-
-		// OS interval: re-profile and re-map. Temperature-aware policies
-		// see the previous tick's transient temperatures — on a cold chip,
-		// ambient everywhere.
-		if now >= nextOS-1e-9 {
-			for i := range coreInfos {
-				coreInfos[i].TempC = c.Therm.CoreMeanTemp(prevTemps, i)
-			}
-			threadInfos, err := sensors.ProfileThreads(c, cfg.CPU, apps, elapsed, noise, profRNG)
-			if err != nil {
-				sp.End()
-				return nil, err
-			}
-			next, err := cfg.Scheduler.Assign(coreInfos, threadInfos, schedRNG)
-			if err != nil {
-				sp.End()
-				return nil, err
-			}
-			if err := next.Validate(c.NumCores()); err != nil {
-				sp.End()
-				return nil, err
-			}
-			if assignment != nil {
-				moved := 0
-				for t := range next {
-					if next[t] != assignment[t] {
-						moved++
-						stallMS[t] += cfg.MigrationPenaltyMS
-					}
-				}
-				if moved > 0 {
-					res.Migrations += moved
-					trace.Event(stepCtx, "dynamic.migrate", trace.Int("threads", moved))
-				}
-			}
-			assignment = next
-			nextOS += cfg.OSIntervalMS
-		}
-
-		// Operating points: every thread runs at the top ladder level minus
-		// the chip-wide emergency clamp, floored at its core's lowest
-		// feasible level.
-		for i := range states {
-			states[i] = chip.CoreState{}
-		}
-		for t, app := range apps {
-			coreID := assignment[t]
-			lvl := top - depth
-			if min := c.MinLevelIndex(coreID); lvl < min {
-				lvl = min
-			}
-			v := c.Levels[lvl]
-			f := c.FmaxAt(coreID, v)
-			states[coreID] = chip.CoreState{App: app, V: v, F: f, ElapsedMS: elapsed[t]}
-			freqs[t] = f
-		}
-
-		if err := c.EvaluateTransientInto(&eval, states, cfg.CPU, prevTemps, dt); err != nil {
-			sp.End()
-			return nil, err
-		}
-		copy(prevTemps, eval.BlockTempC)
-
-		// Progress, stalls (migration and any residual), phase crossings.
-		for t, app := range apps {
-			ipcs[t] = eval.CoreIPC[assignment[t]]
-			if stallMS[t] > 0 {
-				stall := stallMS[t]
-				if stall > dt {
-					stall = dt
-				}
-				stallMS[t] -= stall
-				ipcs[t] *= 1 - stall/dt
-			}
-			instructions[t] += ipcs[t] * freqs[t] * dt / 1000
-			elapsed[t] += dt
-			if idx, _ := app.PhaseIndexAt(elapsed[t]); idx != phaseIdx[t] {
-				phaseIdx[t] = idx
-				res.PhaseSwitches++
-			}
-		}
-
-		// Wearout integrates the transient temperatures and live voltages.
-		for core := range coreVolts {
-			coreVolts[core] = states[core].V // 0 when powered off
-		}
-		if err := aging.Add(eval.CoreTempC, coreVolts, dt); err != nil {
-			sp.End()
-			return nil, err
-		}
-
-		// Thermal emergency governor: observe this tick's peak, adjust the
-		// clamp for the next.
-		mt := c.Therm.MaxTemp(eval.BlockTempC)
-		if mt > res.MaxTempC {
-			res.MaxTempC = mt
-		}
-		res.FinalMaxTempC = mt
-		newDepth, tripped := governor.Observe(mt, top)
-		if tripped {
-			trace.Event(stepCtx, "dynamic.emergency",
-				trace.Int("depth", newDepth), trace.String("maxC", fmt.Sprintf("%.1f", mt)))
-		}
-		depth = newDepth
-		if depth > 0 {
-			res.ThrottledMS += dt
-		}
-
-		powerAcc.Add(eval.TotalW, dt)
-		mips := metrics.MIPS(ipcs, freqs)
-		wtp, err := metrics.WeightedThroughput(ipcs, freqs, refIPS)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		mipsAcc.Add(mips, dt)
-		wtpAcc.Add(wtp, dt)
-
-		sp.End()
-		res.Steps++
-		now += dt
-	}
-
-	res.AvgPowerW = powerAcc.Mean()
-	res.MIPS = mipsAcc.Mean()
-	res.WeightedTP = wtpAcc.Mean()
-	res.Emergencies = governor.Emergencies()
-	res.Instructions = instructions
-	res.WearoutIndex = aging.Index()
-	res.WearoutMax = aging.Max()
-	res.EquivalentTime = aging.EquivalentTime()
-	return res, nil
+	return sys.Run(apps, durationMS)
 }

@@ -30,26 +30,20 @@ type HorizonConfig struct {
 	// Years lists the ages to evaluate after the fresh-die epoch; each
 	// must be positive and increasing.
 	Years []float64
-	// DVthScaleV and Exponent calibrate the NBTI drift power law
-	//
-	//	dVth(core) = DVthScaleV * (index(core) * years)^Exponent
-	//
-	// where index is the core's measured wearout rate (equivalent nominal
-	// years aged per year of operation). Defaults 0.04 V and 0.2 — Vth
-	// drifts tens of millivolts over a ~7-year service life at nominal
-	// stress, with the classic fast-then-flat t^0.2 shape.
-	DVthScaleV float64
-	Exponent   float64
 }
 
-func (h *HorizonConfig) setDefaults() {
-	if h.DVthScaleV == 0 {
-		h.DVthScaleV = 0.04
-	}
-	if h.Exponent == 0 {
-		h.Exponent = 0.2
-	}
-}
+// dVthScaleV and dVthExponent calibrate the NBTI drift power law
+//
+//	dVth(core) = dVthScaleV * (index(core) * years)^dVthExponent
+//
+// where index is the core's measured wearout rate (equivalent nominal
+// years aged per year of operation): Vth drifts tens of millivolts over a
+// ~7-year service life at nominal stress, with the classic fast-then-flat
+// t^0.2 shape.
+const (
+	dVthScaleV   = 0.04
+	dVthExponent = 0.2
+)
 
 // Epoch is one age's outcome.
 type Epoch struct {
@@ -74,7 +68,6 @@ type HorizonResult struct {
 // epoch reuses the same Config seed, so epoch-to-epoch differences isolate
 // the die drift itself.
 func RunHorizon(cfg HorizonConfig, apps []*workload.AppProfile, durationMS float64) (*HorizonResult, error) {
-	cfg.setDefaults()
 	base := cfg.Run.Chip
 	if base == nil {
 		return nil, fmt.Errorf("dynamic: horizon requires a base chip")
@@ -105,7 +98,7 @@ func RunHorizon(cfg HorizonConfig, apps []*workload.AppProfile, durationMS float
 				dVth[core] = 0
 				continue
 			}
-			dVth[core] = cfg.DVthScaleV * math.Pow(rate*years, cfg.Exponent)
+			dVth[core] = dVthScaleV * math.Pow(rate*years, dVthExponent)
 			if dVth[core] > maxShift {
 				maxShift = dVth[core]
 			}

@@ -13,9 +13,10 @@
 //     by task index; callers reduce the slots serially in index order, so
 //     floating-point accumulation order matches the serial loop exactly.
 //
-// The companion DieCache memoises characterised dies across experiments
-// (see cache.go), which is where the batch-level speedup beyond raw
-// parallelism comes from: ~15 experiments share one 200-die batch.
+// Characterised dies are memoised across experiments by a diecache.Cache
+// (package internal/diecache), which is where the batch-level speedup
+// beyond raw parallelism comes from: ~15 experiments share one 200-die
+// batch.
 package farm
 
 import (

@@ -122,6 +122,54 @@ func (m LinOpt) decide(ctx context.Context, p Platform, b Budget, solver *lp.Sol
 	if fitPoints < 2 {
 		fitPoints = 3
 	}
+	l, err := newLinOptLP(snap, b, fitPoints, m.Objective)
+	if err != nil {
+		return nil, err
+	}
+	n, aCoef, minLev := snap.Cores, l.aCoef, l.minLev
+
+	if m.Objective == ObjMinSpeed {
+		// Epigraph reformulation: variables (v_1..v_n, z), maximize z
+		// subject to a_i*v_i - z >= 0 plus the same power and bound
+		// constraints. The per-core speed weight replaces the (unit)
+		// summed-objective weight in a_i.
+		for c := 0; c < n; c++ {
+			aCoef[c] *= snap.minSpeedWeight(c)
+		}
+		return m.decideMinSpeed(snap, b, aCoef, l.bCoef, l.cCoef, l.vmin, minLev, l.vmax, solver)
+	}
+
+	sol, err := solveWith(solver, l.prob)
+	if errors.Is(err, lp.ErrInfeasible) {
+		// Budget below the chip's floor: park at the minimum point.
+		return append([]int(nil), minLev...), nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pm: LinOpt simplex: %w", err)
+	}
+
+	levels := make([]int, n)
+	for c := 0; c < n; c++ {
+		levels[c] = quantizeDown(snap, sol.X[c], minLev[c])
+	}
+	trim(snap, b, levels, minLev, aCoef)
+	refine(snap, b, levels, minLev, snap.ObjCoef(m.Objective, nil))
+	return levels, nil
+}
+
+// linOptLP is LinOpt's linear program over one snapshot (steps 1-3 of the
+// LinOpt doc): the fitted per-core coefficients and the throughput LP
+// over them, whose row 0 is the chip budget.
+type linOptLP struct {
+	prob                      *lp.Problem
+	aCoef, bCoef, cCoef, vmin []float64
+	vmax                      float64
+	minLev                    []int
+}
+
+// newLinOptLP fits each core's power and frequency lines at fitPoints
+// levels spread evenly across its feasible range and assembles the LP.
+func newLinOptLP(snap *Snapshot, b Budget, fitPoints int, obj Objective) (*linOptLP, error) {
 	n := snap.Cores
 	nl := snap.Levels
 	top := nl - 1
@@ -165,7 +213,7 @@ func (m LinOpt) decide(ctx context.Context, p Platform, b Budget, solver *lp.Sol
 			return nil, fmt.Errorf("pm: frequency fit for core %d: %w", c, err)
 		}
 		bCoef[c], cCoef[c] = bi, ci
-		aCoef[c] = snap.objWeight(m.Objective, c) * snap.IPCs[c] * gi / 1e6 // objective per volt
+		aCoef[c] = snap.objWeight(obj, c) * snap.IPCs[c] * gi / 1e6 // objective per volt
 		if aCoef[c] <= 0 {
 			// A degenerate fit (flat frequency) still deserves a positive
 			// objective weight so the LP prefers higher voltage.
@@ -199,34 +247,7 @@ func (m LinOpt) decide(ctx context.Context, p Platform, b Budget, solver *lp.Sol
 			Coeffs: hiRow, Rel: lp.LE, RHS: vmax,
 		})
 	}
-
-	if m.Objective == ObjMinSpeed {
-		// Epigraph reformulation: variables (v_1..v_n, z), maximize z
-		// subject to a_i*v_i - z >= 0 plus the same power and bound
-		// constraints. The per-core speed weight replaces the (unit)
-		// summed-objective weight in a_i.
-		for c := 0; c < n; c++ {
-			aCoef[c] *= snap.minSpeedWeight(c)
-		}
-		return m.decideMinSpeed(snap, b, aCoef, bCoef, cCoef, vmin, minLev, vmax, solver)
-	}
-
-	sol, err := solveWith(solver, prob)
-	if errors.Is(err, lp.ErrInfeasible) {
-		// Budget below the chip's floor: park at the minimum point.
-		return append([]int(nil), minLev...), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("pm: LinOpt simplex: %w", err)
-	}
-
-	levels := make([]int, n)
-	for c := 0; c < n; c++ {
-		levels[c] = quantizeDown(snap, sol.X[c], minLev[c])
-	}
-	trim(snap, b, levels, minLev, aCoef)
-	refine(snap, b, levels, minLev, snap.ObjCoef(m.Objective, nil))
-	return levels, nil
+	return &linOptLP{prob: prob, aCoef: aCoef, bCoef: bCoef, cCoef: cCoef, vmin: vmin, vmax: vmax, minLev: minLev}, nil
 }
 
 // refine polishes the quantised LP point against the *measured* per-level

@@ -2,7 +2,6 @@ package pm
 
 import (
 	"errors"
-	"fmt"
 
 	"vasched/internal/lp"
 )
@@ -19,67 +18,15 @@ func BudgetSensitivity(p Platform, b Budget, obj Objective) (float64, error) {
 	if obj == ObjMinSpeed {
 		return 0, errors.New("pm: sensitivity for the max-min objective is not supported")
 	}
-	n := p.NumCores()
-	top := p.NumLevels() - 1
-	vmax := p.VoltageAt(top)
-
-	// Same fits LinOpt uses (3 points across each core's feasible range).
-	aCoef := make([]float64, n)
-	bCoef := make([]float64, n)
-	cCoef := make([]float64, n)
-	vmin := make([]float64, n)
-	for c := 0; c < n; c++ {
-		lo := minLevel(p, c)
-		vmin[c] = p.VoltageAt(lo)
-		span := top - lo
-		pts := 3
-		if span+1 < pts {
-			pts = span + 1
-		}
-		vs := make([]float64, 0, pts)
-		ps := make([]float64, 0, pts)
-		fs := make([]float64, 0, pts)
-		for k := 0; k < pts; k++ {
-			l := lo
-			if pts > 1 {
-				l = lo + k*span/(pts-1)
-			}
-			vs = append(vs, p.VoltageAt(l))
-			ps = append(ps, p.PowerAt(c, l))
-			fs = append(fs, p.FreqAt(c, l))
-		}
-		bi, ci, err := fitLine(vs, ps)
-		if err != nil {
-			return 0, fmt.Errorf("pm: sensitivity power fit for core %d: %w", c, err)
-		}
-		gi, _, err := fitLine(vs, fs)
-		if err != nil {
-			return 0, fmt.Errorf("pm: sensitivity frequency fit for core %d: %w", c, err)
-		}
-		bCoef[c], cCoef[c] = bi, ci
-		aCoef[c] = obj.weight(p, c) * p.IPC(c) * gi / 1e6
+	// The same fits and LP rows LinOpt solves (3 points across each
+	// core's feasible range).
+	var snap Snapshot
+	snap.Capture(p)
+	l, err := newLinOptLP(&snap, b, 3, obj)
+	if err != nil {
+		return 0, err
 	}
-
-	prob := &lp.Problem{Objective: aCoef}
-	rhs := b.PTargetW - p.UncorePowerW()
-	for c := 0; c < n; c++ {
-		rhs -= cCoef[c]
-	}
-	prob.Constraints = append(prob.Constraints, lp.Constraint{
-		Coeffs: append([]float64(nil), bCoef...), Rel: lp.LE, RHS: rhs,
-	})
-	for c := 0; c < n; c++ {
-		capRow := make([]float64, n)
-		capRow[c] = bCoef[c]
-		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: capRow, Rel: lp.LE, RHS: b.PCoreMaxW - cCoef[c]})
-		loRow := make([]float64, n)
-		loRow[c] = 1
-		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: loRow, Rel: lp.GE, RHS: vmin[c]})
-		hiRow := make([]float64, n)
-		hiRow[c] = 1
-		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: hiRow, Rel: lp.LE, RHS: vmax})
-	}
-	sol, err := lp.Solve(prob)
+	sol, err := lp.Solve(l.prob)
 	if errors.Is(err, lp.ErrInfeasible) {
 		return 0, nil
 	}

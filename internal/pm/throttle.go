@@ -2,14 +2,15 @@ package pm
 
 import "fmt"
 
-// ThrottleGovernor is the thermal-emergency DVFS state machine the dynamic
-// scenario engine drives every tick: when the hottest block exceeds TripC
-// the governor deepens the chip-wide clamp by one ladder level, and only
-// once the die has cooled below RecoverC does it release levels again. The
-// gap between the two thresholds is the hysteresis band that prevents the
-// clamp from chattering around a single threshold — HotSpot-style thermal
-// time constants are tens of milliseconds, so a trip/release pair per tick
-// would throttle on noise, not on heat.
+// ThrottleGovernor is the thermal-emergency DVFS state machine the timeline
+// engine (core.System.Run) drives every tick of a governed run: when the
+// hottest block exceeds TripC the governor deepens the chip-wide clamp by
+// one ladder level, and only once the die has cooled below RecoverC does
+// it release levels again. The gap between the two thresholds is the
+// hysteresis band that prevents the clamp from chattering around a single
+// threshold — HotSpot-style thermal time constants are tens of
+// milliseconds, so a trip/release pair per tick would throttle on noise,
+// not on heat.
 //
 // The governor is chip-wide (every thread is clamped by the same depth),
 // matching the hardware reality that thermal emergencies are handled by a

@@ -323,9 +323,11 @@ type Stats struct {
 	InstructionsM []float64
 }
 
-// DynamicConfig selects the time-stepped scenario engine
-// (internal/dynamic): transient thermal integration, phase-shifting
-// workloads, emergency DVFS throttling, and optional wearout horizons.
+// DynamicConfig selects a time-stepped scenario (internal/dynamic). It
+// runs on the same timeline engine as System.Run, with every core at its
+// own maximum frequency and no power manager, and adds transient thermal
+// integration, phase-shifting workloads, emergency DVFS throttling,
+// migration stalls, and optional wearout horizons.
 type DynamicConfig struct {
 	// Scheduler is one of the Sched* names; default SchedVarFAppIPC.
 	Scheduler string
@@ -334,7 +336,7 @@ type DynamicConfig struct {
 	// OSIntervalMS is the re-scheduling cadence (default 10 ms).
 	OSIntervalMS float64
 	// EmergencyC trips the thermal throttle and RecoverC releases it
-	// (defaults 85 / 80).
+	// (defaults 85 and EmergencyC-5).
 	EmergencyC float64
 	RecoverC   float64
 	// MigrationPenaltyMS stalls a thread each time it moves cores.
