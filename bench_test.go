@@ -150,7 +150,7 @@ func BenchmarkSAnnVsExhaustive(b *testing.B) {
 }
 
 // frozen builds a frozen 20-thread platform snapshot for the ablations.
-func frozen(b *testing.B, threads int) (pm.Platform, pm.Budget) {
+func frozen(b *testing.B, threads int) (*pm.Snapshot, pm.Budget) {
 	b.Helper()
 	e := env(b)
 	c, err := e.Chip(0)
@@ -165,12 +165,8 @@ func frozen(b *testing.B, threads int) (pm.Platform, pm.Budget) {
 	return plat, experiments.CostPerformance.Budget(threads, 20)
 }
 
-func modelTP(p pm.Platform, levels []int) float64 {
-	sum := 0.0
-	for c, l := range levels {
-		sum += p.IPC(c) * p.FreqAt(c, l) / 1e6
-	}
-	return sum
+func modelTP(s *pm.Snapshot, levels []int) float64 {
+	return s.ObjectiveValue(levels, pm.ObjMIPS, s.ObjCoef(pm.ObjMIPS, nil))
 }
 
 // BenchmarkAblationFitPoints compares LinOpt's 3-point power fit against
@@ -201,11 +197,11 @@ func BenchmarkAblationFitPoints(b *testing.B) {
 // search stays tractable.
 func BenchmarkAblationIPCModel(b *testing.B) {
 	plat, budget := frozen(b, 4)
-	tip := plat.(pm.TrueIPCPlatform)
 	trueTP := func(levels []int) float64 {
 		sum := 0.0
 		for c, l := range levels {
-			sum += tip.TrueIPCAt(c, l) * plat.FreqAt(c, l) / 1e6
+			i := c*plat.Levels + l
+			sum += plat.TrueIPC[i] * plat.Freq[i] / 1e6
 		}
 		return sum
 	}

@@ -265,11 +265,21 @@ func readSnapshot(path string) (*Snapshot, error) {
 }
 
 // compare prints a delta table against the baseline and returns how many
-// benchmarks regressed beyond threshold percent ns/op.
+// benchmarks regressed beyond threshold percent ns/op. Baseline entries
+// missing from the run are listed as gone, without counting, so a deleted
+// or renamed benchmark does not drop out of the gate unnoticed; only
+// packages this run benchmarked are checked, so a run over a package
+// subset does not flag the rest.
 func compare(w io.Writer, prev, cur *Snapshot, prevPath string, threshold float64) int {
 	base := map[string]Benchmark{}
 	for _, b := range prev.Benchmarks {
 		base[b.Package+"."+b.Name] = b
+	}
+	ran := map[string]bool{}  // packages in this run
+	seen := map[string]bool{} // benchmark keys in this run
+	for _, b := range cur.Benchmarks {
+		ran[b.Package] = true
+		seen[b.Package+"."+b.Name] = true
 	}
 	fmt.Fprintf(w, "\ncomparison vs %s:\n", prevPath)
 	if pf, cf := prev.Fingerprint(), cur.Fingerprint(); pf != cf {
@@ -295,6 +305,13 @@ func compare(w io.Writer, prev, cur *Snapshot, prevPath string, threshold float6
 			regressions++
 		}
 		fmt.Fprintf(w, "%-58s %14.0f %14.0f %+7.1f%%%s\n", shortKey(key), old.NsPerOp, b.NsPerOp, delta, marker)
+	}
+	for _, b := range prev.Benchmarks {
+		key := b.Package + "." + b.Name
+		if ran[b.Package] && !seen[key] {
+			seen[key] = true
+			fmt.Fprintf(w, "%-58s %14.0f %14s %8s\n", shortKey(key), b.NsPerOp, "-", "gone")
+		}
 	}
 	return regressions
 }

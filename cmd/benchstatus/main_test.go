@@ -73,13 +73,17 @@ func TestLatestSnapshot(t *testing.T) {
 
 // TestCompareThresholdMath pins the regression arithmetic: delta is
 // percent over the OLD time, strictly-greater-than the threshold counts,
-// missing baselines print as new without counting.
+// missing baselines print as new without counting, and baseline entries
+// the run no longer has print as gone without counting — but only in
+// packages the run benchmarked.
 func TestCompareThresholdMath(t *testing.T) {
 	prev := &Snapshot{Benchmarks: []Benchmark{
 		{Package: "p", Name: "BenchmarkA", NsPerOp: 100},
 		{Package: "p", Name: "BenchmarkB", NsPerOp: 100},
 		{Package: "p", Name: "BenchmarkC", NsPerOp: 100},
 		{Package: "p", Name: "BenchmarkZero", NsPerOp: 0},
+		{Package: "p", Name: "BenchmarkDeleted", NsPerOp: 300},
+		{Package: "q", Name: "BenchmarkNotRun", NsPerOp: 100},
 	}}
 	cur := &Snapshot{Benchmarks: []Benchmark{
 		{Package: "p", Name: "BenchmarkA", NsPerOp: 120}, // exactly +20%: not a regression at threshold 20
@@ -109,9 +113,18 @@ func TestCompareThresholdMath(t *testing.T) {
 		if strings.Contains(l, "BenchmarkNew") && !strings.Contains(l, "new") {
 			t.Errorf("new benchmark not marked: %q", l)
 		}
+		if strings.Contains(l, "BenchmarkDeleted") && !strings.HasSuffix(l, "gone") {
+			t.Errorf("vanished benchmark not marked gone: %q", l)
+		}
 	}
 	if markers != 1 {
 		t.Fatalf("marker count = %d, want 1\n%s", markers, out)
+	}
+	if strings.Count(out, "BenchmarkDeleted") != 1 {
+		t.Fatalf("vanished benchmark not listed once:\n%s", out)
+	}
+	if strings.Contains(out, "BenchmarkNotRun") {
+		t.Fatalf("benchmark of a package the run skipped listed:\n%s", out)
 	}
 }
 

@@ -365,6 +365,9 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 	freqs := make([]float64, nT)
 	coreVolts := make([]float64, c.NumCores())
 	depth := 0 // the governor's clamp in ladder levels
+	// The managers' view of the chip, refilled in place at every DVFS
+	// interval; Decide only reads it.
+	snap := new(pm.Snapshot)
 
 	// Only governed runs open a span per tick, with migration and
 	// emergency events under it, as the recorded dynamic scenarios do: a
@@ -432,12 +435,11 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 
 		// DVFS interval: re-solve the (V, f) assignment.
 		if s.cfg.Mode == ModeDVFS && now >= nextDVFS-1e-9 {
-			plat, err := s.snapshot(apps, assignment, elapsed, levels, lastEval, noise)
-			if err != nil {
+			if err := s.fillSnapshot(snap, apps, assignment, elapsed, levels, lastEval, noise); err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			lv, err := manager.Decide(tickCtx, plat, s.cfg.Budget, pmRNG)
+			lv, err := manager.Decide(tickCtx, snap, s.cfg.Budget, pmRNG)
 			d := time.Since(start)
 			out.DecideTime += d
 			out.DecideCount++

@@ -267,41 +267,44 @@ func TestTransientThermalMode(t *testing.T) {
 func TestFrozenSnapshot(t *testing.T) {
 	c, cpu := testSystemParts(t)
 	apps := workload.Mix(stats.NewRNG(3), 6)
-	plat, err := FrozenSnapshot(c, cpu, apps, 7)
+	snap, err := FrozenSnapshot(c, cpu, apps, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plat.NumCores() != 6 {
-		t.Fatalf("snapshot covers %d cores", plat.NumCores())
+	if snap.Cores != 6 {
+		t.Fatalf("snapshot covers %d cores", snap.Cores)
 	}
-	if plat.NumLevels() != len(c.Levels) {
-		t.Fatalf("snapshot has %d levels", plat.NumLevels())
+	nl := snap.Levels
+	if nl != len(c.Levels) || len(snap.Volt) != nl || snap.Volt[nl-1] != c.Levels[nl-1] {
+		t.Fatalf("snapshot has %d levels (volts %v)", nl, snap.Volt)
 	}
-	top := plat.NumLevels() - 1
-	for i := 0; i < plat.NumCores(); i++ {
-		if plat.FreqAt(i, top) <= 0 {
+	top := nl - 1
+	for i := 0; i < snap.Cores; i++ {
+		row := i * nl
+		if snap.Freq[row+top] <= 0 {
 			t.Fatalf("core %d infeasible at top level", i)
 		}
-		if plat.PowerAt(i, top) <= plat.PowerAt(i, top-2) {
+		if snap.Power[row+top] <= snap.Power[row+top-2] {
 			t.Fatalf("core %d power not increasing in level", i)
 		}
-		if plat.IPC(i) <= 0 || plat.RefIPS(i) <= 0 {
+		if snap.IPCs[i] <= 0 || snap.Refs[i] <= 0 {
 			t.Fatalf("core %d missing IPC/reference", i)
 		}
+		// Noise-free, cold start: the IPC sensor reads the true IPC at
+		// the top level.
+		if snap.IPCs[i] != snap.TrueIPC[row+top] {
+			t.Fatalf("core %d sensor IPC %v != true IPC at the top level %v", i, snap.IPCs[i], snap.TrueIPC[row+top])
+		}
 	}
-	if plat.UncorePowerW() <= 0 {
+	if snap.Uncore <= 0 {
 		t.Fatal("no uncore power")
 	}
-	// The frozen snapshot must expose true frequency-dependent IPC for
-	// the Oracle ablation; for a memory-bound thread it rises as the
-	// level (and with it the clock) falls.
-	tip, ok := plat.(pm.TrueIPCPlatform)
-	if !ok {
-		t.Fatal("snapshot does not implement TrueIPCPlatform")
-	}
-	for i := 0; i < plat.NumCores(); i++ {
-		lo := tip.TrueIPCAt(i, top)
-		hi := tip.TrueIPCAt(i, top-4)
+	// The frozen snapshot must carry true frequency-dependent IPC for the
+	// Oracle ablation; for a memory-bound thread it rises as the level
+	// (and with it the clock) falls.
+	for i := 0; i < snap.Cores; i++ {
+		lo := snap.TrueIPC[i*nl+top]
+		hi := snap.TrueIPC[i*nl+top-4]
 		if hi < lo-1e-12 {
 			t.Fatalf("core %d true IPC fell as frequency dropped: %v -> %v", i, lo, hi)
 		}

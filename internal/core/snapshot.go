@@ -8,26 +8,22 @@ import (
 	"vasched/internal/workload"
 )
 
-// snapshot builds the pm.Platform view of the chip at a scheduling
-// instant: for each active core, the sensor-measured power of its
-// thread-core pair at every ladder level (at the block temperatures of the
-// last evaluation — power profiling happens under current thermal
+// fillSnapshot fills snap in place with the chip's Table 3 view at a
+// scheduling instant: for each active core, the sensor-measured power of
+// its thread-core pair at every ladder level (at the block temperatures
+// of the last evaluation — power profiling happens under current thermal
 // conditions), the thread's current IPC, and the manufacturer V/f table.
+// It also fills the true, frequency-dependent IPC table that only the
+// Oracle ablation reads.
 //
-// The returned platform also implements pm.TrueIPCPlatform so the Oracle
-// ablation can see frequency-dependent IPC; the paper's managers never
-// call that method.
-func (s *System) snapshot(apps []*workload.AppProfile, assignment sched.Assignment, elapsedMS []float64, curLevels []int, lastEval *chip.EvalResult, noise sensors.Noise) (pm.Platform, error) {
+// Sensor noise is drawn per thread in a fixed order — the power of each
+// feasible level, ascending, then the IPC sensor — which the recorded
+// timelines depend on.
+func (s *System) fillSnapshot(snap *pm.Snapshot, apps []*workload.AppProfile, assignment sched.Assignment, elapsedMS []float64, curLevels []int, lastEval *chip.EvalResult, noise sensors.Noise) error {
 	c := s.cfg.Chip
-	n := len(apps)
-	snap := &platformSnapshot{
-		levels: c.Levels,
-		freq:   make([][]float64, n),
-		power:  make([][]float64, n),
-		tipc:   make([][]float64, n),
-		ipc:    make([]float64, n),
-		refIPS: make([]float64, n),
-	}
+	nl := len(c.Levels)
+	snap.Resize(len(apps), nl)
+	copy(snap.Volt, c.Levels)
 
 	coreTemp := func(core int) float64 {
 		if lastEval == nil {
@@ -38,69 +34,46 @@ func (s *System) snapshot(apps []*workload.AppProfile, assignment sched.Assignme
 	// Uncore power: the shared L2 from the last evaluation, or its
 	// zero-load leakage estimate before the first one.
 	if lastEval != nil {
-		snap.uncore = lastEval.L2PowerW
+		snap.Uncore = lastEval.L2PowerW
 	} else {
-		snap.uncore = c.Power.L2StaticW(c.Maps, c.FP, c.Tech.TRefC)
+		snap.Uncore = c.Power.L2StaticW(c.Maps, c.FP, c.Tech.TRefC)
 	}
 
 	for t, app := range apps {
 		coreID := assignment[t]
 		ref, err := s.cfg.CPU.SteadyIPC(app, c.Tech.FNominalHz)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		snap.refIPS[t] = ref * c.Tech.FNominalHz
+		snap.Refs[t] = ref * c.Tech.FNominalHz
 		temp := coreTemp(coreID)
 		phase := app.PhaseAt(elapsedMS[t])
-		nl := len(c.Levels)
-		snap.freq[t] = make([]float64, nl)
-		snap.power[t] = make([]float64, nl)
-		snap.tipc[t] = make([]float64, nl)
+		freq := snap.Freq[t*nl : (t+1)*nl]
+		power := snap.Power[t*nl : (t+1)*nl]
+		tipc := snap.TrueIPC[t*nl : (t+1)*nl]
 		for li, v := range c.Levels {
 			f := c.FmaxAt(coreID, v)
-			snap.freq[t][li] = f
+			freq[li], power[li], tipc[li] = f, 0, 0
 			if f <= 0 {
 				continue
 			}
 			ipcAt, err := s.cfg.CPU.IPC(app, phase, f)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			snap.tipc[t][li] = ipcAt
+			tipc[li] = ipcAt
 			stat := c.CoreStaticCached(coreID, v, temp)
 			dyn := c.Power.DynamicCoreW(app.DynPowerW*phase.PowerScale, app.IPCNom, v, f, ipcAt)
-			snap.power[t][li] = noise.Read(stat + dyn)
+			power[li] = noise.Read(stat + dyn)
 		}
 		// The IPC sensor reads the thread at its current operating point
 		// (the previous decision's level; the top level before the first
 		// decision).
-		cur := len(c.Levels) - 1
-		if curLevels != nil && snap.freq[t][curLevels[t]] > 0 {
+		cur := nl - 1
+		if curLevels != nil && freq[curLevels[t]] > 0 {
 			cur = curLevels[t]
 		}
-		snap.ipc[t] = noise.Read(snap.tipc[t][cur])
+		snap.IPCs[t] = noise.Read(tipc[cur])
 	}
-	return snap, nil
+	return nil
 }
-
-// platformSnapshot implements pm.Platform and pm.TrueIPCPlatform over
-// precomputed tables, making every manager query O(1).
-type platformSnapshot struct {
-	levels []float64
-	freq   [][]float64 // [active core][level]
-	power  [][]float64
-	tipc   [][]float64 // true (frequency-dependent) IPC
-	ipc    []float64   // sensor IPC at the profiling point
-	refIPS []float64   // per-thread reference IPS for weighted objectives
-	uncore float64
-}
-
-func (p *platformSnapshot) NumCores() int              { return len(p.ipc) }
-func (p *platformSnapshot) NumLevels() int             { return len(p.levels) }
-func (p *platformSnapshot) VoltageAt(l int) float64    { return p.levels[l] }
-func (p *platformSnapshot) FreqAt(c, l int) float64    { return p.freq[c][l] }
-func (p *platformSnapshot) PowerAt(c, l int) float64   { return p.power[c][l] }
-func (p *platformSnapshot) IPC(c int) float64          { return p.ipc[c] }
-func (p *platformSnapshot) UncorePowerW() float64      { return p.uncore }
-func (p *platformSnapshot) RefIPS(c int) float64       { return p.refIPS[c] }
-func (p *platformSnapshot) TrueIPCAt(c, l int) float64 { return p.tipc[c][l] }

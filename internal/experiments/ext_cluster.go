@@ -67,11 +67,8 @@ func schedPMTask(ctx context.Context, e *Env, die, trial int) (schedPMBlob, erro
 	if err != nil {
 		return b, err
 	}
-	b.PowerW = plat.UncorePowerW()
-	for cix, l := range levels {
-		b.TPutMIPS += plat.IPC(cix) * plat.FreqAt(cix, l) / 1e6
-		b.PowerW += plat.PowerAt(cix, l)
-	}
+	b.TPutMIPS = plat.ObjectiveValue(levels, pm.ObjMIPS, plat.ObjCoef(pm.ObjMIPS, nil))
+	b.PowerW = plat.TotalPower(levels)
 	return b, nil
 }
 

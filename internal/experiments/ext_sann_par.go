@@ -60,11 +60,7 @@ func ExtSAnnPar(e *Env) (*ExtSAnnParResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			tp := 0.0
-			for cix, l := range levels {
-				tp += plat.IPC(cix) * plat.FreqAt(cix, l) / 1e6
-			}
-			tps = append(tps, tp)
+			tps = append(tps, plat.ObjectiveValue(levels, pm.ObjMIPS, plat.ObjCoef(pm.ObjMIPS, nil)))
 		}
 		res.Rows = append(res.Rows, ExtSAnnParRow{
 			Chains:   chains,

@@ -119,12 +119,9 @@ func SAnnVsExhaustive(e *Env) (*SAnnValidationResult, error) {
 			if err != nil {
 				return nil, err
 			}
+			mips := plat.ObjCoef(pm.ObjMIPS, nil)
 			modelTP := func(levels []int) float64 {
-				sum := 0.0
-				for cix, l := range levels {
-					sum += plat.IPC(cix) * plat.FreqAt(cix, l) / 1e6
-				}
-				return sum
+				return plat.ObjectiveValue(levels, pm.ObjMIPS, mips)
 			}
 			exh, err := pm.NewExhaustive().Decide(e.Context(), plat, budget, stats.NewRNG(seed))
 			if err != nil {

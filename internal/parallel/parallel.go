@@ -180,11 +180,11 @@ func PickFastestCores(c *chip.Chip, n int) ([]int, error) {
 	return out, nil
 }
 
-// NewJobPlatform builds the pm.Platform view of the job's threads on the
+// NewJobPlatform builds the pm.Snapshot of the job's threads on the
 // chosen cores (power tables at the reference temperature, sensor IPC at
-// each core's top operating point), so any power manager can set the job's
-// per-core operating points.
-func NewJobPlatform(c *chip.Chip, cpu *cpusim.Model, job Job, cores []int) (pm.Platform, error) {
+// each core's top operating point, true IPC at every feasible level), so
+// any power manager can set the job's per-core operating points.
+func NewJobPlatform(c *chip.Chip, cpu *cpusim.Model, job Job, cores []int) (*pm.Snapshot, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,26 +192,20 @@ func NewJobPlatform(c *chip.Chip, cpu *cpusim.Model, job Job, cores []int) (pm.P
 		return nil, fmt.Errorf("parallel: %d cores for %d threads", len(cores), job.Threads)
 	}
 	phase := workload.Phase{IPCScale: 1, PowerScale: 1}
-	n := job.Threads
-	jp := &jobPlatform{
-		levels: c.Levels,
-		freq:   make([][]float64, n),
-		power:  make([][]float64, n),
-		ipc:    make([]float64, n),
-		refIPS: make([]float64, n),
-		uncore: c.Power.L2StaticW(c.Maps, c.FP, c.Tech.TRefC),
-	}
+	nl := len(c.Levels)
+	snap := &pm.Snapshot{Uncore: c.Power.L2StaticW(c.Maps, c.FP, c.Tech.TRefC)}
+	snap.Resize(job.Threads, nl)
+	copy(snap.Volt, c.Levels)
 	ref, err := cpu.SteadyIPC(job.App, c.Tech.FNominalHz)
 	if err != nil {
 		return nil, err
 	}
 	for t, coreID := range cores {
-		jp.freq[t] = make([]float64, len(c.Levels))
-		jp.power[t] = make([]float64, len(c.Levels))
-		jp.refIPS[t] = ref * c.Tech.FNominalHz
+		snap.Refs[t] = ref * c.Tech.FNominalHz
 		for li, v := range c.Levels {
+			i := t*nl + li
 			f := c.FmaxAt(coreID, v)
-			jp.freq[t][li] = f
+			snap.Freq[i] = f
 			if f <= 0 {
 				continue
 			}
@@ -219,49 +213,27 @@ func NewJobPlatform(c *chip.Chip, cpu *cpusim.Model, job Job, cores []int) (pm.P
 			if err != nil {
 				return nil, err
 			}
+			snap.TrueIPC[i] = ipcAt
 			stat := c.CoreStaticCached(coreID, v, c.Tech.TRefC)
 			dyn := c.Power.DynamicCoreW(job.App.DynPowerW, job.App.IPCNom, v, f, ipcAt)
-			jp.power[t][li] = stat + dyn
+			snap.Power[i] = stat + dyn
 		}
-		top := jp.freq[t][len(c.Levels)-1]
-		ipcTop, err := cpu.IPC(job.App, phase, top)
-		if err != nil {
-			return nil, err
-		}
-		jp.ipc[t] = ipcTop
+		// The IPC sensor reads the thread at the top operating point.
+		snap.IPCs[t] = snap.TrueIPC[t*nl+nl-1]
 	}
-	return jp, nil
+	return snap, nil
 }
-
-// jobPlatform implements pm.Platform over precomputed tables.
-type jobPlatform struct {
-	levels []float64
-	freq   [][]float64
-	power  [][]float64
-	ipc    []float64
-	refIPS []float64
-	uncore float64
-}
-
-func (p *jobPlatform) NumCores() int            { return len(p.ipc) }
-func (p *jobPlatform) NumLevels() int           { return len(p.levels) }
-func (p *jobPlatform) VoltageAt(l int) float64  { return p.levels[l] }
-func (p *jobPlatform) FreqAt(c, l int) float64  { return p.freq[c][l] }
-func (p *jobPlatform) PowerAt(c, l int) float64 { return p.power[c][l] }
-func (p *jobPlatform) IPC(c int) float64        { return p.ipc[c] }
-func (p *jobPlatform) UncorePowerW() float64    { return p.uncore }
-func (p *jobPlatform) RefIPS(c int) float64     { return p.refIPS[c] }
 
 // Budgeted solves the job's operating points with the given manager and
 // budget on the given cores, then runs the job. It is the glue the
 // ext-parallel experiment and tests use. The context only carries
 // tracing state for the manager's decision span.
 func Budgeted(ctx context.Context, c *chip.Chip, cpu *cpusim.Model, job Job, cores []int, mgr pm.Manager, budget pm.Budget, rngSeed int64) (*Result, error) {
-	plat, err := NewJobPlatform(c, cpu, job, cores)
+	snap, err := NewJobPlatform(c, cpu, job, cores)
 	if err != nil {
 		return nil, err
 	}
-	levels, err := mgr.Decide(ctx, plat, budget, stats.NewRNG(rngSeed))
+	levels, err := mgr.Decide(ctx, snap, budget, stats.NewRNG(rngSeed))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package pm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"vasched/internal/stats"
@@ -16,9 +17,9 @@ const maxExhaustiveStates = 50_000_000
 // LinOpt on small configurations (paper Section 6.5) and as the Oracle's
 // search engine; it does not scale (M^N states).
 type Exhaustive struct {
-	// UseTrueIPC makes the search optimise the platform's
-	// frequency-dependent IPC if available, turning the manager into the
-	// Oracle of DESIGN.md ablation 2.
+	// UseTrueIPC makes the search optimise the snapshot's
+	// frequency-dependent TrueIPC table instead of the sensor IPC,
+	// turning the manager into the Oracle of DESIGN.md ablation 2.
 	UseTrueIPC bool
 	// Objective selects raw-MIPS or weighted-throughput maximisation.
 	Objective Objective
@@ -28,7 +29,8 @@ type Exhaustive struct {
 func NewExhaustive() Exhaustive { return Exhaustive{} }
 
 // NewOracle returns an exhaustive search over true (frequency-dependent)
-// IPC. Decide falls back to sensor IPC if the platform cannot supply it.
+// IPC: the objective reads the snapshot's TrueIPC table, and Decide
+// returns an error when the snapshot does not carry one.
 func NewOracle() Exhaustive { return Exhaustive{UseTrueIPC: true} }
 
 // Name implements Manager.
@@ -40,44 +42,46 @@ func (m Exhaustive) Name() string {
 }
 
 // Decide implements Manager.
-func (m Exhaustive) Decide(ctx context.Context, p Platform, b Budget, _ *stats.RNG) ([]int, error) {
-	if err := validatePlatform(p); err != nil {
+func (m Exhaustive) Decide(ctx context.Context, snap *Snapshot, b Budget, _ *stats.RNG) ([]int, error) {
+	mins, err := floorLevels(snap, nil)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := startDecide(ctx, m.Name(), p)
+	n, nl := snap.Cores, snap.Levels
+	if m.UseTrueIPC && len(snap.TrueIPC) != n*nl {
+		return nil, errors.New("pm: the Oracle needs the snapshot's TrueIPC table")
+	}
+	_, sp := startDecide(ctx, m.Name(), snap)
 	defer sp.End()
-	n := p.NumCores()
-	mins := make([]int, n)
 	total := 1
 	for c := 0; c < n; c++ {
-		mins[c] = minLevel(p, c)
-		span := p.NumLevels() - mins[c]
+		span := nl - mins[c]
 		if total > maxExhaustiveStates/span {
 			return nil, fmt.Errorf("pm: exhaustive search space exceeds %d states", maxExhaustiveStates)
 		}
 		total *= span
 	}
 
-	tip, hasTrue := p.(TrueIPCPlatform)
+	coef := snap.ObjCoef(m.Objective, nil)
 	objective := func(levels []int) float64 {
-		if m.UseTrueIPC && hasTrue {
+		if m.UseTrueIPC {
 			sum := 0.0
 			for c, l := range levels {
-				sum += m.Objective.weight(p, c) * tip.TrueIPCAt(c, l) * p.FreqAt(c, l) / 1e6
+				sum += snap.objWeight(m.Objective, c) * snap.TrueIPC[c*nl+l] * snap.Freq[c*nl+l] / 1e6
 			}
 			return sum
 		}
-		return objectiveValue(p, levels, m.Objective)
+		return snap.ObjectiveValue(levels, m.Objective, coef)
 	}
 
 	levels := append([]int(nil), mins...)
 	best := append([]int(nil), mins...)
 	bestVal := -1.0
 	for {
-		if totalPower(p, levels) <= b.PTargetW {
+		if snap.TotalPower(levels) <= b.PTargetW {
 			ok := true
 			for c, l := range levels {
-				if p.PowerAt(c, l) > b.PCoreMaxW {
+				if snap.Power[c*nl+l] > b.PCoreMaxW {
 					ok = false
 					break
 				}
@@ -93,7 +97,7 @@ func (m Exhaustive) Decide(ctx context.Context, p Platform, b Budget, _ *stats.R
 		c := 0
 		for ; c < n; c++ {
 			levels[c]++
-			if levels[c] < p.NumLevels() {
+			if levels[c] < nl {
 				break
 			}
 			levels[c] = mins[c]

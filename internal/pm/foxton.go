@@ -13,9 +13,8 @@ import (
 // Ptarget and the per-core Pcoremax constraints hold (or every core sits
 // at its minimum level).
 //
-// The budget walk re-evaluates chip power after every step, so it runs on
-// a pm.Snapshot like the optimising managers: one interface capture, then
-// array reads.
+// The budget walk re-evaluates chip power after every step, reading the
+// snapshot's power table directly.
 type Foxton struct{}
 
 // NewFoxton returns the baseline manager.
@@ -25,39 +24,19 @@ func NewFoxton() Foxton { return Foxton{} }
 func (Foxton) Name() string { return NameFoxton }
 
 // Decide implements Manager.
-func (Foxton) Decide(ctx context.Context, p Platform, b Budget, _ *stats.RNG) ([]int, error) {
-	var snap Snapshot
-	return foxtonDecide(ctx, &snap, p, b)
-}
-
-// NewSession implements SessionManager: the returned manager decides
-// identically but reuses the snapshot tables across intervals.
-func (Foxton) NewSession() Manager { return &foxtonSession{} }
-
-type foxtonSession struct {
-	snap Snapshot
-}
-
-func (s *foxtonSession) Name() string { return NameFoxton }
-
-func (s *foxtonSession) Decide(ctx context.Context, p Platform, b Budget, _ *stats.RNG) ([]int, error) {
-	return foxtonDecide(ctx, &s.snap, p, b)
-}
-
-func foxtonDecide(ctx context.Context, snap *Snapshot, p Platform, b Budget) ([]int, error) {
-	if err := validatePlatform(p); err != nil {
+func (Foxton) Decide(ctx context.Context, snap *Snapshot, b Budget, _ *stats.RNG) ([]int, error) {
+	mins, err := floorLevels(snap, nil)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := startDecide(ctx, NameFoxton, p)
+	_, sp := startDecide(ctx, NameFoxton, snap)
 	defer sp.End()
-	snap.Capture(p)
 	n, nl := snap.Cores, snap.Levels
 	top := nl - 1
 	levels := make([]int, n)
 	for c := range levels {
 		levels[c] = top
 	}
-	mins := snap.MinLev
 
 	satisfied := func() bool {
 		if snap.TotalPower(levels) > b.PTargetW {

@@ -48,9 +48,8 @@ func (LinOpt) Name() string { return NameLinOpt }
 // Decide implements Manager. Each call solves the LP from scratch; use
 // NewSession when running many consecutive intervals so the simplex can
 // warm-start from the previous optimum.
-func (m LinOpt) Decide(ctx context.Context, p Platform, b Budget, rng *stats.RNG) ([]int, error) {
-	var snap Snapshot
-	return m.decide(ctx, p, b, nil, &snap)
+func (m LinOpt) Decide(ctx context.Context, snap *Snapshot, b Budget, _ *stats.RNG) ([]int, error) {
+	return m.decide(ctx, snap, b, nil)
 }
 
 // NewSession implements SessionManager: the returned manager decides
@@ -70,19 +69,17 @@ func (m LinOpt) NewSession() Manager {
 	return &linOptSession{m: m, solver: lp.NewSolver()}
 }
 
-// linOptSession is a per-run LinOpt with simplex warm-start state and a
-// reused platform snapshot. Not safe for concurrent use; each run gets
-// its own.
+// linOptSession is a per-run LinOpt with simplex warm-start state. Not
+// safe for concurrent use; each run gets its own.
 type linOptSession struct {
 	m      LinOpt
 	solver *lp.Solver
-	snap   Snapshot
 }
 
 func (s *linOptSession) Name() string { return s.m.Name() }
 
-func (s *linOptSession) Decide(ctx context.Context, p Platform, b Budget, _ *stats.RNG) ([]int, error) {
-	return s.m.decide(ctx, p, b, s.solver, &s.snap)
+func (s *linOptSession) Decide(ctx context.Context, snap *Snapshot, b Budget, _ *stats.RNG) ([]int, error) {
+	return s.m.decide(ctx, snap, b, s.solver)
 }
 
 // solveWith dispatches to the session solver when one is present.
@@ -93,11 +90,12 @@ func solveWith(s *lp.Solver, prob *lp.Problem) (*lp.Solution, error) {
 	return s.Solve(prob)
 }
 
-func (m LinOpt) decide(ctx context.Context, p Platform, b Budget, solver *lp.Solver, snap *Snapshot) ([]int, error) {
-	if err := validatePlatform(p); err != nil {
+func (m LinOpt) decide(ctx context.Context, snap *Snapshot, b Budget, solver *lp.Solver) ([]int, error) {
+	minLev, err := floorLevels(snap, nil)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := startDecide(ctx, NameLinOpt, p)
+	_, sp := startDecide(ctx, NameLinOpt, snap)
 	defer sp.End()
 	attempts0, hits0 := 0, 0
 	if solver != nil {
@@ -117,16 +115,15 @@ func (m LinOpt) decide(ctx context.Context, p Platform, b Budget, solver *lp.Sol
 			sp.AddAttr(trace.String("warm", "miss"))
 		}
 	}()
-	snap.Capture(p)
 	fitPoints := m.FitPoints
 	if fitPoints < 2 {
 		fitPoints = 3
 	}
-	l, err := newLinOptLP(snap, b, fitPoints, m.Objective)
+	l, err := newLinOptLP(snap, b, fitPoints, m.Objective, minLev)
 	if err != nil {
 		return nil, err
 	}
-	n, aCoef, minLev := snap.Cores, l.aCoef, l.minLev
+	n, aCoef := snap.Cores, l.aCoef
 
 	if m.Objective == ObjMinSpeed {
 		// Epigraph reformulation: variables (v_1..v_n, z), maximize z
@@ -136,7 +133,7 @@ func (m LinOpt) decide(ctx context.Context, p Platform, b Budget, solver *lp.Sol
 		for c := 0; c < n; c++ {
 			aCoef[c] *= snap.minSpeedWeight(c)
 		}
-		return m.decideMinSpeed(snap, b, aCoef, l.bCoef, l.cCoef, l.vmin, minLev, l.vmax, solver)
+		return decideMinSpeed(snap, b, l, solver)
 	}
 
 	sol, err := solveWith(solver, l.prob)
@@ -158,18 +155,19 @@ func (m LinOpt) decide(ctx context.Context, p Platform, b Budget, solver *lp.Sol
 }
 
 // linOptLP is LinOpt's linear program over one snapshot (steps 1-3 of the
-// LinOpt doc): the fitted per-core coefficients and the throughput LP
-// over them, whose row 0 is the chip budget.
+// LinOpt doc): the fitted per-core objective coefficients and the
+// throughput LP over them, whose row 0 is the chip budget, followed by
+// each core's power cap and voltage bounds.
 type linOptLP struct {
-	prob                      *lp.Problem
-	aCoef, bCoef, cCoef, vmin []float64
-	vmax                      float64
-	minLev                    []int
+	prob   *lp.Problem
+	aCoef  []float64
+	minLev []int
 }
 
 // newLinOptLP fits each core's power and frequency lines at fitPoints
-// levels spread evenly across its feasible range and assembles the LP.
-func newLinOptLP(snap *Snapshot, b Budget, fitPoints int, obj Objective) (*linOptLP, error) {
+// levels spread evenly across its feasible range (minLev[c] up to the top
+// level) and assembles the LP.
+func newLinOptLP(snap *Snapshot, b Budget, fitPoints int, obj Objective, minLev []int) (*linOptLP, error) {
 	n := snap.Cores
 	nl := snap.Levels
 	top := nl - 1
@@ -179,10 +177,8 @@ func newLinOptLP(snap *Snapshot, b Budget, fitPoints int, obj Objective) (*linOp
 	bCoef := make([]float64, n) // watts per volt
 	cCoef := make([]float64, n) // watts offset
 	vmin := make([]float64, n)  // per-core minimum feasible voltage
-	minLev := make([]int, n)
 
 	for c := 0; c < n; c++ {
-		minLev[c] = snap.MinLev[c]
 		vmin[c] = snap.Volt[minLev[c]]
 
 		// Sample levels spread evenly across the core's feasible range.
@@ -247,7 +243,7 @@ func newLinOptLP(snap *Snapshot, b Budget, fitPoints int, obj Objective) (*linOp
 			Coeffs: hiRow, Rel: lp.LE, RHS: vmax,
 		})
 	}
-	return &linOptLP{prob: prob, aCoef: aCoef, bCoef: bCoef, cCoef: cCoef, vmin: vmin, vmax: vmax, minLev: minLev}, nil
+	return &linOptLP{prob: prob, aCoef: aCoef, minLev: minLev}, nil
 }
 
 // refine polishes the quantised LP point against the *measured* per-level
@@ -372,54 +368,45 @@ func trim(s *Snapshot, b Budget, levels, minLev []int, aCoef []float64) {
 }
 
 // decideMinSpeed solves the max-min LP: maximize z subject to
-// z <= a_i*v_i, the chip and per-core power constraints, and the voltage
-// bounds. aCoef here carries the min-speed weights.
-func (m LinOpt) decideMinSpeed(snap *Snapshot, b Budget, aCoef, bCoef, cCoef, vmin []float64, minLev []int, vmax float64, solver *lp.Solver) ([]int, error) {
+// z <= a_i*v_i and then l's chip budget, per-core cap and voltage-bound
+// rows, each widened by a zero z column. l.aCoef here carries the
+// min-speed weights. The row order is part of the answer: the LP's
+// optimal face is fat (see LinOpt.NewSession), so reordering rows can
+// move the simplex to a different optimal vertex.
+func decideMinSpeed(snap *Snapshot, b Budget, l *linOptLP, solver *lp.Solver) ([]int, error) {
 	n := snap.Cores
 	nv := n + 1 // v_1..v_n, z
 	obj := make([]float64, nv)
 	obj[n] = 1 // maximize z
-	prob := &lp.Problem{Objective: obj}
+	prob := &lp.Problem{Objective: obj, Constraints: make([]lp.Constraint, 0, n+len(l.prob.Constraints))}
 
 	// z <= a_i v_i  ->  a_i v_i - z >= 0.
 	for c := 0; c < n; c++ {
 		row := make([]float64, nv)
-		row[c] = aCoef[c]
+		row[c] = l.aCoef[c]
 		row[n] = -1
 		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: row, Rel: lp.GE, RHS: 0})
 	}
-	rhs := b.PTargetW - snap.Uncore
-	budgetRow := make([]float64, nv)
-	for c := 0; c < n; c++ {
-		budgetRow[c] = bCoef[c]
-		rhs -= cCoef[c]
-	}
-	prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: budgetRow, Rel: lp.LE, RHS: rhs})
-	for c := 0; c < n; c++ {
-		capRow := make([]float64, nv)
-		capRow[c] = bCoef[c]
-		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: capRow, Rel: lp.LE, RHS: b.PCoreMaxW - cCoef[c]})
-		loRow := make([]float64, nv)
-		loRow[c] = 1
-		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: loRow, Rel: lp.GE, RHS: vmin[c]})
-		hiRow := make([]float64, nv)
-		hiRow[c] = 1
-		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: hiRow, Rel: lp.LE, RHS: vmax})
+	for _, con := range l.prob.Constraints {
+		row := make([]float64, nv)
+		copy(row, con.Coeffs)
+		con.Coeffs = row
+		prob.Constraints = append(prob.Constraints, con)
 	}
 
 	sol, err := solveWith(solver, prob)
 	if errors.Is(err, lp.ErrInfeasible) {
-		return append([]int(nil), minLev...), nil
+		return append([]int(nil), l.minLev...), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pm: LinOpt max-min simplex: %w", err)
 	}
 	levels := make([]int, n)
 	for c := 0; c < n; c++ {
-		levels[c] = quantizeDown(snap, sol.X[c], minLev[c])
+		levels[c] = quantizeDown(snap, sol.X[c], l.minLev[c])
 	}
-	trim(snap, b, levels, minLev, aCoef)
-	refineMinSpeed(snap, b, levels, minLev)
+	trim(snap, b, levels, l.minLev, l.aCoef)
+	refineMinSpeed(snap, b, levels, l.minLev)
 	return levels, nil
 }
 

@@ -31,7 +31,7 @@ func TestLinOptMinSpeedFeasibleAndBalanced(t *testing.T) {
 	p := newFake(8)
 	b := Budget{PTargetW: 26, PCoreMaxW: 6}
 	m := LinOpt{FitPoints: 3, Objective: ObjMinSpeed}
-	levels, err := m.Decide(context.Background(), p, b, stats.NewRNG(1))
+	levels, err := m.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLinOptMinSpeedFeasibleAndBalanced(t *testing.T) {
 
 	// The max-min solution must not have a lower minimum speed than the
 	// sum-MIPS solution under the same budget.
-	sum, err := NewLinOpt().Decide(context.Background(), p, b, stats.NewRNG(1))
+	sum, err := NewLinOpt().Decide(context.Background(), p.snapshot(), b, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestLinOptMinSpeedFeasibleAndBalanced(t *testing.T) {
 func TestLinOptMinSpeedMatchesExhaustive(t *testing.T) {
 	p := newFake(4)
 	b := Budget{PTargetW: 13, PCoreMaxW: 5}
-	lin, err := LinOpt{FitPoints: 3, Objective: ObjMinSpeed}.Decide(context.Background(), p, b, stats.NewRNG(2))
+	lin, err := LinOpt{FitPoints: 3, Objective: ObjMinSpeed}.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Exhaustive{Objective: ObjMinSpeed}.Decide(context.Background(), p, b, stats.NewRNG(2))
+	ex, err := Exhaustive{Objective: ObjMinSpeed}.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func TestSAnnMinSpeed(t *testing.T) {
 	p := newFake(6)
 	b := Budget{PTargetW: 18, PCoreMaxW: 5}
 	m := SAnn{MaxEvals: 20000, Objective: ObjMinSpeed}
-	levels, err := m.Decide(context.Background(), p, b, stats.NewRNG(3))
+	levels, err := m.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertFeasible(t, p, b, levels, "SAnn-minspeed")
-	sum, err := SAnn{MaxEvals: 20000}.Decide(context.Background(), p, b, stats.NewRNG(3))
+	sum, err := SAnn{MaxEvals: 20000}.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSAnnMinSpeed(t *testing.T) {
 func TestLinOptMinSpeedInfeasibleBudget(t *testing.T) {
 	p := newFake(3)
 	b := Budget{PTargetW: 0.5, PCoreMaxW: 0.5}
-	levels, err := LinOpt{FitPoints: 3, Objective: ObjMinSpeed}.Decide(context.Background(), p, b, stats.NewRNG(4))
+	levels, err := LinOpt{FitPoints: 3, Objective: ObjMinSpeed}.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +102,21 @@ func TestBudgetSensitivity(t *testing.T) {
 	p := newFake(8)
 	tight := Budget{PTargetW: 20, PCoreMaxW: 6}
 	loose := Budget{PTargetW: 500, PCoreMaxW: 100}
-	sTight, err := BudgetSensitivity(p, tight, ObjMIPS)
+	sTight, err := BudgetSensitivity(p.snapshot(), tight, ObjMIPS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sTight <= 0 {
 		t.Fatalf("tight-budget sensitivity = %v, want positive", sTight)
 	}
-	sLoose, err := BudgetSensitivity(p, loose, ObjMIPS)
+	sLoose, err := BudgetSensitivity(p.snapshot(), loose, ObjMIPS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sLoose != 0 {
 		t.Fatalf("loose-budget sensitivity = %v, want 0 (budget not binding)", sLoose)
 	}
-	if _, err := BudgetSensitivity(p, tight, ObjMinSpeed); err == nil {
+	if _, err := BudgetSensitivity(p.snapshot(), tight, ObjMinSpeed); err == nil {
 		t.Fatal("min-speed sensitivity should be unsupported")
 	}
 }
@@ -127,16 +127,16 @@ func TestBudgetSensitivityMatchesPerturbation(t *testing.T) {
 	// the continuous LP by using a generous step.
 	p := newFake(10)
 	b := Budget{PTargetW: 30, PCoreMaxW: 6}
-	sens, err := BudgetSensitivity(p, b, ObjMIPS)
+	sens, err := BudgetSensitivity(p.snapshot(), b, ObjMIPS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lin := NewLinOpt()
-	base, err := lin.Decide(context.Background(), p, b, stats.NewRNG(1))
+	base, err := lin.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	more, err := lin.Decide(context.Background(), p, Budget{PTargetW: b.PTargetW + 2, PCoreMaxW: b.PCoreMaxW}, stats.NewRNG(1))
+	more, err := lin.Decide(context.Background(), p.snapshot(), Budget{PTargetW: b.PTargetW + 2, PCoreMaxW: b.PCoreMaxW}, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}

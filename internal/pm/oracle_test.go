@@ -10,11 +10,134 @@ import (
 )
 
 // This file preserves, verbatim, the interface-dispatching manager
-// implementations that predate pm.Snapshot. They are the oracle for the
-// property tests in snapshot_test.go: the dense snapshot kernels must
-// return decision-identical levels on every platform (same floats, same
-// RNG stream, same tie-breaks). Do not "improve" these copies — their
+// implementations that predate pm.Snapshot, together with the Platform
+// interface they dispatch through and its helpers. They are the oracle
+// for the property tests in snapshot_test.go: the dense snapshot kernels
+// must return decision-identical levels on every platform (same floats,
+// same RNG stream, same tie-breaks). Do not "improve" these copies — their
 // whole value is that they stay frozen.
+
+// Platform exposes the Table 3 observables for the currently active cores.
+// Core indices here are *active-core* indices (0..NumCores-1), not die
+// positions; the runtime maintains the mapping.
+type Platform interface {
+	// NumCores returns the number of active cores (threads).
+	NumCores() int
+	// NumLevels returns the ladder size shared by all cores.
+	NumLevels() int
+	// VoltageAt returns the supply voltage of a ladder level.
+	VoltageAt(level int) float64
+	// FreqAt returns the rated frequency of the core at a ladder level,
+	// or 0 if the core cannot operate there.
+	FreqAt(core, level int) float64
+	// PowerAt returns the measured total power (dynamic + static) of the
+	// thread-core pair at a ladder level.
+	PowerAt(core, level int) float64
+	// IPC returns the thread's measured IPC on its core.
+	IPC(core int) float64
+	// UncorePowerW returns the power of the shared structures (L2) that
+	// count against Ptarget but are not per-core scalable.
+	UncorePowerW() float64
+	// RefIPS returns the thread's reference instructions-per-second (its
+	// IPS at reference conditions), the normalisation the weighted-
+	// throughput objective divides by (paper Section 6.6 / Figure 13).
+	RefIPS(core int) float64
+}
+
+// weight returns the per-core objective weight: 1 for MIPS, 1/refIPS for
+// weighted throughput (scaled by 1e9 to keep LP coefficients well
+// conditioned).
+func (o Objective) weight(p Platform, core int) float64 {
+	if o == ObjWeighted {
+		if ref := p.RefIPS(core); ref > 0 {
+			return 1e9 / ref
+		}
+	}
+	return 1
+}
+
+// minLevel returns the lowest feasible ladder level for the core.
+func minLevel(p Platform, core int) int {
+	for l := 0; l < p.NumLevels(); l++ {
+		if p.FreqAt(core, l) > 0 {
+			return l
+		}
+	}
+	return p.NumLevels() - 1
+}
+
+// totalPower returns chip power for a level assignment.
+func totalPower(p Platform, levels []int) float64 {
+	sum := p.UncorePowerW()
+	for c, l := range levels {
+		sum += p.PowerAt(c, l)
+	}
+	return sum
+}
+
+// throughput returns the MIPS objective for a level assignment using the
+// sensor IPCs (the frequency-independence approximation all the paper's
+// managers share).
+func throughput(p Platform, levels []int) float64 {
+	return objectiveValue(p, levels, ObjMIPS)
+}
+
+// objectiveValue evaluates the chosen objective for a level assignment.
+func objectiveValue(p Platform, levels []int, obj Objective) float64 {
+	if obj == ObjMinSpeed {
+		min := 0.0
+		for c, l := range levels {
+			v := minSpeedWeight(p, c) * p.IPC(c) * p.FreqAt(c, l) / 1e6
+			if c == 0 || v < min {
+				min = v
+			}
+		}
+		return min
+	}
+	sum := 0.0
+	for c, l := range levels {
+		sum += obj.weight(p, c) * p.IPC(c) * p.FreqAt(c, l) / 1e6
+	}
+	return sum
+}
+
+// minSpeedWeight normalises per-thread speed by the thread's reference IPS
+// so "slowest" compares progress, not raw instruction rate.
+func minSpeedWeight(p Platform, core int) float64 {
+	if ref := p.RefIPS(core); ref > 0 {
+		return 1e9 / ref
+	}
+	return 1
+}
+
+// tablePlatform serves a hand-built Snapshot's tables through Platform, so
+// the frozen functions can run on crafted tables.
+type tablePlatform struct{ s *Snapshot }
+
+func (p tablePlatform) NumCores() int            { return p.s.Cores }
+func (p tablePlatform) NumLevels() int           { return p.s.Levels }
+func (p tablePlatform) VoltageAt(l int) float64  { return p.s.Volt[l] }
+func (p tablePlatform) FreqAt(c, l int) float64  { return p.s.Freq[c*p.s.Levels+l] }
+func (p tablePlatform) PowerAt(c, l int) float64 { return p.s.Power[c*p.s.Levels+l] }
+func (p tablePlatform) IPC(c int) float64        { return p.s.IPCs[c] }
+func (p tablePlatform) UncorePowerW() float64    { return p.s.Uncore }
+func (p tablePlatform) RefIPS(c int) float64     { return p.s.Refs[c] }
+
+// validatePlatform rejects degenerate platforms early with a clear error.
+func validatePlatform(p Platform) error {
+	if p.NumCores() <= 0 {
+		return errors.New("pm: no active cores")
+	}
+	if p.NumLevels() <= 0 {
+		return errors.New("pm: empty voltage ladder")
+	}
+	for c := 0; c < p.NumCores(); c++ {
+		if p.FreqAt(c, p.NumLevels()-1) <= 0 {
+			return fmt.Errorf("pm: active core %d infeasible even at the top level", c)
+		}
+	}
+	return nil
+}
 
 func legacySAnnDecide(m SAnn, p Platform, b Budget, rng *stats.RNG) ([]int, error) {
 	if err := validatePlatform(p); err != nil {

@@ -18,44 +18,15 @@
 //
 // All algorithms see the platform only through the observables the paper's
 // Table 3 grants them (manufacturer V/f tables, power sensors, IPC
-// counters).
+// counters), gathered in one plain Snapshot.
 package pm
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"vasched/internal/stats"
 	"vasched/internal/trace"
 )
-
-// Platform exposes the Table 3 observables for the currently active cores.
-// Core indices here are *active-core* indices (0..NumCores-1), not die
-// positions; the runtime maintains the mapping.
-type Platform interface {
-	// NumCores returns the number of active cores (threads).
-	NumCores() int
-	// NumLevels returns the ladder size shared by all cores.
-	NumLevels() int
-	// VoltageAt returns the supply voltage of a ladder level.
-	VoltageAt(level int) float64
-	// FreqAt returns the rated frequency of the core at a ladder level,
-	// or 0 if the core cannot operate there.
-	FreqAt(core, level int) float64
-	// PowerAt returns the measured total power (dynamic + static) of the
-	// thread-core pair at a ladder level.
-	PowerAt(core, level int) float64
-	// IPC returns the thread's measured IPC on its core.
-	IPC(core int) float64
-	// UncorePowerW returns the power of the shared structures (L2) that
-	// count against Ptarget but are not per-core scalable.
-	UncorePowerW() float64
-	// RefIPS returns the thread's reference instructions-per-second (its
-	// IPS at reference conditions), the normalisation the weighted-
-	// throughput objective divides by (paper Section 6.6 / Figure 13).
-	RefIPS(core int) float64
-}
 
 // Objective selects what the optimising managers maximise: raw MIPS
 // (Figure 11) or weighted throughput (Figure 13, where the paper re-runs
@@ -75,27 +46,6 @@ const (
 	ObjMinSpeed
 )
 
-// weight returns the per-core objective weight: 1 for MIPS, 1/refIPS for
-// weighted throughput (scaled by 1e9 to keep LP coefficients well
-// conditioned).
-func (o Objective) weight(p Platform, core int) float64 {
-	if o == ObjWeighted {
-		if ref := p.RefIPS(core); ref > 0 {
-			return 1e9 / ref
-		}
-	}
-	return 1
-}
-
-// TrueIPCPlatform optionally exposes frequency-dependent IPC. No paper
-// algorithm uses it; the Oracle manager does, to quantify what LinOpt's
-// frequency-independent-IPC approximation costs (DESIGN.md ablation 2).
-type TrueIPCPlatform interface {
-	Platform
-	// TrueIPCAt returns the thread's actual IPC at the given level.
-	TrueIPCAt(core, level int) float64
-}
-
 // Budget is the power envelope.
 type Budget struct {
 	// PTargetW is the chip-wide power target.
@@ -108,28 +58,30 @@ type Budget struct {
 type Manager interface {
 	// Name returns the paper's name for the algorithm.
 	Name() string
-	// Decide returns one ladder level per active core. The context is
-	// used only for observability (tracing spans); decisions must not
-	// depend on it.
-	Decide(ctx context.Context, p Platform, b Budget, rng *stats.RNG) ([]int, error)
+	// Decide returns one ladder level per active core of s. It only
+	// reads s, so concurrent Decide calls may share one snapshot. The
+	// context is used only for observability (tracing spans); decisions
+	// must not depend on it.
+	Decide(ctx context.Context, s *Snapshot, b Budget, rng *stats.RNG) ([]int, error)
 }
 
 // startDecide opens the per-decision tracing span shared by every
 // manager. The attributes (manager name, active-core count, plus
 // whatever the caller appends before End) are deterministic functions of
 // the workload, so trace trees golden-test cleanly.
-func startDecide(ctx context.Context, name string, p Platform) (context.Context, *trace.ActiveSpan) {
+func startDecide(ctx context.Context, name string, s *Snapshot) (context.Context, *trace.ActiveSpan) {
 	return trace.Start(ctx, "pm.decide",
-		trace.String("manager", name), trace.Int("cores", p.NumCores()))
+		trace.String("manager", name), trace.Int("cores", s.Cores))
 }
 
 // SessionManager is implemented by managers that can carry mutable state
-// (solver warm starts, caches) across the consecutive Decide calls of one
-// simulation run. NewSession returns a fresh Manager holding that state,
-// so a single configured manager value can be shared by concurrent runs
-// (the die farm fans one Config out across workers) while each run's
-// session stays single-threaded. Sessions must decide identically to the
-// stateless manager.
+// (solver warm starts, annealing scratch) across the consecutive Decide
+// calls of one simulation run. NewSession returns a fresh Manager holding
+// that state, so a single configured manager value can be shared by
+// concurrent runs (the die farm fans one Config out across workers) while
+// each run's session stays single-threaded. The state is the manager's
+// own; the snapshot stays read-only. Sessions must decide identically to
+// the stateless manager.
 type SessionManager interface {
 	Manager
 	// NewSession returns a Manager private to one run.
@@ -144,73 +96,3 @@ const (
 	NameExhaustive = "Exhaustive"
 	NameOracle     = "Oracle"
 )
-
-// minLevel returns the lowest feasible ladder level for the core.
-func minLevel(p Platform, core int) int {
-	for l := 0; l < p.NumLevels(); l++ {
-		if p.FreqAt(core, l) > 0 {
-			return l
-		}
-	}
-	return p.NumLevels() - 1
-}
-
-// totalPower returns chip power for a level assignment.
-func totalPower(p Platform, levels []int) float64 {
-	sum := p.UncorePowerW()
-	for c, l := range levels {
-		sum += p.PowerAt(c, l)
-	}
-	return sum
-}
-
-// throughput returns the MIPS objective for a level assignment using the
-// sensor IPCs (the frequency-independence approximation all the paper's
-// managers share).
-func throughput(p Platform, levels []int) float64 {
-	return objectiveValue(p, levels, ObjMIPS)
-}
-
-// objectiveValue evaluates the chosen objective for a level assignment.
-func objectiveValue(p Platform, levels []int, obj Objective) float64 {
-	if obj == ObjMinSpeed {
-		min := 0.0
-		for c, l := range levels {
-			v := minSpeedWeight(p, c) * p.IPC(c) * p.FreqAt(c, l) / 1e6
-			if c == 0 || v < min {
-				min = v
-			}
-		}
-		return min
-	}
-	sum := 0.0
-	for c, l := range levels {
-		sum += obj.weight(p, c) * p.IPC(c) * p.FreqAt(c, l) / 1e6
-	}
-	return sum
-}
-
-// minSpeedWeight normalises per-thread speed by the thread's reference IPS
-// so "slowest" compares progress, not raw instruction rate.
-func minSpeedWeight(p Platform, core int) float64 {
-	if ref := p.RefIPS(core); ref > 0 {
-		return 1e9 / ref
-	}
-	return 1
-}
-
-// validatePlatform rejects degenerate platforms early with a clear error.
-func validatePlatform(p Platform) error {
-	if p.NumCores() <= 0 {
-		return errors.New("pm: no active cores")
-	}
-	if p.NumLevels() <= 0 {
-		return errors.New("pm: empty voltage ladder")
-	}
-	for c := 0; c < p.NumCores(); c++ {
-		if p.FreqAt(c, p.NumLevels()-1) <= 0 {
-			return fmt.Errorf("pm: active core %d infeasible even at the top level", c)
-		}
-	}
-	return nil
-}

@@ -13,7 +13,9 @@ import (
 // frequency is near-linear in voltage with per-core speed grades, power is
 // quadratic-plus-exponential (so the LinOpt fit is genuinely an
 // approximation), and IPC is per-core constant with an optional
-// frequency-dependent droop for TrueIPCAt.
+// frequency-dependent droop for TrueIPCAt. It implements the frozen
+// Platform interface of oracle_test.go, and snapshot produces the
+// Snapshot the managers decide on.
 type fakePlatform struct {
 	levels []float64
 	speed  []float64 // per-core frequency grade (GHz per volt-ish)
@@ -57,6 +59,25 @@ func (f *fakePlatform) TrueIPCAt(c, l int) float64 {
 	return ipc
 }
 
+// snapshot tabulates the fake's observables, levels ascending within each
+// core and cores ascending.
+func (f *fakePlatform) snapshot() *Snapshot {
+	s := &Snapshot{Uncore: f.uncore}
+	nc, nl := f.NumCores(), f.NumLevels()
+	s.Resize(nc, nl)
+	copy(s.Volt, f.levels)
+	for c := 0; c < nc; c++ {
+		s.IPCs[c] = f.IPC(c)
+		s.Refs[c] = f.RefIPS(c)
+		for l := 0; l < nl; l++ {
+			s.Freq[c*nl+l] = f.FreqAt(c, l)
+			s.Power[c*nl+l] = f.PowerAt(c, l)
+			s.TrueIPC[c*nl+l] = f.TrueIPCAt(c, l)
+		}
+	}
+	return s
+}
+
 func ladder() []float64 {
 	return []float64{0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0}
 }
@@ -89,7 +110,7 @@ func assertFeasible(t *testing.T, p Platform, b Budget, levels []int, name strin
 func TestFoxtonMeetsBudget(t *testing.T) {
 	p := newFake(8)
 	b := Budget{PTargetW: 25, PCoreMaxW: 6}
-	levels, err := NewFoxton().Decide(context.Background(), p, b, stats.NewRNG(1))
+	levels, err := NewFoxton().Decide(context.Background(), p.snapshot(), b, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +120,7 @@ func TestFoxtonMeetsBudget(t *testing.T) {
 func TestFoxtonGenerousBudgetKeepsTopLevels(t *testing.T) {
 	p := newFake(4)
 	b := Budget{PTargetW: 1000, PCoreMaxW: 100}
-	levels, err := NewFoxton().Decide(context.Background(), p, b, stats.NewRNG(1))
+	levels, err := NewFoxton().Decide(context.Background(), p.snapshot(), b, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +134,7 @@ func TestFoxtonGenerousBudgetKeepsTopLevels(t *testing.T) {
 func TestFoxtonImpossibleBudgetParksAtFloor(t *testing.T) {
 	p := newFake(4)
 	b := Budget{PTargetW: 0.1, PCoreMaxW: 0.1}
-	levels, err := NewFoxton().Decide(context.Background(), p, b, stats.NewRNG(1))
+	levels, err := NewFoxton().Decide(context.Background(), p.snapshot(), b, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +149,11 @@ func TestLinOptMeetsBudgetAndBeatsFoxton(t *testing.T) {
 	p := newFake(12)
 	b := Budget{PTargetW: 35, PCoreMaxW: 6}
 	rng := stats.NewRNG(2)
-	fox, err := NewFoxton().Decide(context.Background(), p, b, rng)
+	fox, err := NewFoxton().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := NewLinOpt().Decide(context.Background(), p, b, rng)
+	lin, err := NewLinOpt().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +168,7 @@ func TestLinOptMeetsBudgetAndBeatsFoxton(t *testing.T) {
 func TestLinOptInfeasibleBudgetParksAtFloor(t *testing.T) {
 	p := newFake(4)
 	b := Budget{PTargetW: 0.5, PCoreMaxW: 0.5}
-	levels, err := NewLinOpt().Decide(context.Background(), p, b, stats.NewRNG(3))
+	levels, err := NewLinOpt().Decide(context.Background(), p.snapshot(), b, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +183,7 @@ func TestLinOptRespectsPerCoreCap(t *testing.T) {
 	p := newFake(6)
 	// Loose chip budget but a tight per-core cap: the cap must bind.
 	b := Budget{PTargetW: 1000, PCoreMaxW: 3.5}
-	levels, err := NewLinOpt().Decide(context.Background(), p, b, stats.NewRNG(4))
+	levels, err := NewLinOpt().Decide(context.Background(), p.snapshot(), b, stats.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +194,7 @@ func TestLinOptTwoPointFit(t *testing.T) {
 	p := newFake(6)
 	b := Budget{PTargetW: 22, PCoreMaxW: 6}
 	m := LinOpt{FitPoints: 2}
-	levels, err := m.Decide(context.Background(), p, b, stats.NewRNG(5))
+	levels, err := m.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +205,12 @@ func TestSAnnMeetsBudgetAndIsCompetitive(t *testing.T) {
 	p := newFake(8)
 	b := Budget{PTargetW: 28, PCoreMaxW: 6}
 	rng := stats.NewRNG(6)
-	sann, err := NewSAnn().Decide(context.Background(), p, b, rng)
+	sann, err := NewSAnn().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertFeasible(t, p, b, sann, "SAnn")
-	lin, err := NewLinOpt().Decide(context.Background(), p, b, rng)
+	lin, err := NewLinOpt().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +228,12 @@ func TestSAnnWithinOnePercentOfExhaustive(t *testing.T) {
 	p := newFake(4)
 	b := Budget{PTargetW: 14, PCoreMaxW: 5}
 	rng := stats.NewRNG(7)
-	ex, err := NewExhaustive().Decide(context.Background(), p, b, rng)
+	ex, err := NewExhaustive().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sa := SAnn{MaxEvals: 30000}
-	sann, err := sa.Decide(context.Background(), p, b, rng)
+	sann, err := sa.Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +248,11 @@ func TestLinOptCloseToExhaustive(t *testing.T) {
 	p := newFake(4)
 	b := Budget{PTargetW: 14, PCoreMaxW: 5}
 	rng := stats.NewRNG(8)
-	ex, err := NewExhaustive().Decide(context.Background(), p, b, rng)
+	ex, err := NewExhaustive().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := NewLinOpt().Decide(context.Background(), p, b, rng)
+	lin, err := NewLinOpt().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +266,14 @@ func TestExhaustiveOptimal(t *testing.T) {
 	p := newFake(3)
 	b := Budget{PTargetW: 11, PCoreMaxW: 5}
 	rng := stats.NewRNG(9)
-	ex, err := NewExhaustive().Decide(context.Background(), p, b, rng)
+	ex, err := NewExhaustive().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertFeasible(t, p, b, ex, "Exhaustive")
 	tEx := throughput(p, ex)
 	for _, m := range []Manager{NewFoxton(), NewLinOpt(), NewSAnn()} {
-		levels, err := m.Decide(context.Background(), p, b, rng)
+		levels, err := m.Decide(context.Background(), p.snapshot(), b, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +286,7 @@ func TestExhaustiveOptimal(t *testing.T) {
 func TestExhaustiveRejectsHugeSpaces(t *testing.T) {
 	p := newFake(20)
 	b := Budget{PTargetW: 80, PCoreMaxW: 6}
-	if _, err := NewExhaustive().Decide(context.Background(), p, b, stats.NewRNG(10)); err == nil {
+	if _, err := NewExhaustive().Decide(context.Background(), p.snapshot(), b, stats.NewRNG(10)); err == nil {
 		t.Fatal("20-core exhaustive search accepted")
 	}
 }
@@ -279,11 +300,11 @@ func TestOracleUsesTrueIPC(t *testing.T) {
 	p.droop = []float64{0.2, 0.0}
 	b := Budget{PTargetW: 9, PCoreMaxW: 6}
 	rng := stats.NewRNG(11)
-	oracle, err := NewOracle().Decide(context.Background(), p, b, rng)
+	oracle, err := NewOracle().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewExhaustive().Decide(context.Background(), p, b, rng)
+	plain, err := NewExhaustive().Decide(context.Background(), p.snapshot(), b, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +321,17 @@ func TestOracleUsesTrueIPC(t *testing.T) {
 	if NewOracle().Name() != NameOracle || NewExhaustive().Name() != NameExhaustive {
 		t.Fatal("names wrong")
 	}
+	noTrue := p.snapshot()
+	noTrue.TrueIPC = nil
+	if _, err := NewOracle().Decide(context.Background(), noTrue, b, rng); err == nil {
+		t.Fatal("Oracle accepted a snapshot without a TrueIPC table")
+	}
 }
 
 func TestManagersRejectDegeneratePlatforms(t *testing.T) {
 	empty := &fakePlatform{levels: ladder()}
 	for _, m := range []Manager{NewFoxton(), NewLinOpt(), NewSAnn(), NewExhaustive()} {
-		if _, err := m.Decide(context.Background(), empty, Budget{PTargetW: 10, PCoreMaxW: 5}, stats.NewRNG(1)); err == nil {
+		if _, err := m.Decide(context.Background(), empty.snapshot(), Budget{PTargetW: 10, PCoreMaxW: 5}, stats.NewRNG(1)); err == nil {
 			t.Fatalf("%s accepted a platform with no cores", m.Name())
 		}
 	}
@@ -317,7 +343,7 @@ func TestMinLevelRespected(t *testing.T) {
 	p.minLev = []int{0, 4, 0, 2}
 	b := Budget{PTargetW: 13, PCoreMaxW: 6}
 	for _, m := range []Manager{NewFoxton(), NewLinOpt(), NewSAnn(), NewExhaustive()} {
-		levels, err := m.Decide(context.Background(), p, b, stats.NewRNG(12))
+		levels, err := m.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,39 +377,39 @@ func TestFitLine(t *testing.T) {
 }
 
 func BenchmarkLinOpt20Cores(b *testing.B) {
-	p := newFake(20)
+	s := newFake(20).snapshot()
 	budget := Budget{PTargetW: 60, PCoreMaxW: 6}
 	m := NewLinOpt()
 	rng := stats.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Decide(context.Background(), p, budget, rng); err != nil {
+		if _, err := m.Decide(context.Background(), s, budget, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSAnn20Cores(b *testing.B) {
-	p := newFake(20)
+	s := newFake(20).snapshot()
 	budget := Budget{PTargetW: 60, PCoreMaxW: 6}
 	m := SAnn{MaxEvals: 20000}
 	rng := stats.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Decide(context.Background(), p, budget, rng); err != nil {
+		if _, err := m.Decide(context.Background(), s, budget, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFoxton20Cores(b *testing.B) {
-	p := newFake(20)
+	s := newFake(20).snapshot()
 	budget := Budget{PTargetW: 60, PCoreMaxW: 6}
 	m := NewFoxton()
 	rng := stats.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Decide(context.Background(), p, budget, rng); err != nil {
+		if _, err := m.Decide(context.Background(), s, budget, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -406,7 +432,7 @@ func TestManagersFeasibleOrFloorProperty(t *testing.T) {
 			PCoreMaxW: 1 + rng.Float64()*6,
 		}
 		for _, m := range []Manager{NewFoxton(), NewLinOpt()} {
-			levels, err := m.Decide(context.Background(), p, b, rng)
+			levels, err := m.Decide(context.Background(), p.snapshot(), b, rng)
 			if err != nil {
 				return false
 			}

@@ -17,11 +17,10 @@ import (
 // sweeps invoke it thousands of times (EXPERIMENTS.md documents the
 // scaling).
 //
-// Candidate evaluation runs on a pm.Snapshot: the platform observables
-// are captured into flat arrays once per Decide and every annealing
-// candidate is scored from those arrays with zero allocation, in the same
-// index order as the original interface-based closures, so decisions are
-// byte-identical to the pre-snapshot path.
+// Every annealing candidate is scored straight from the snapshot's flat
+// tables with zero allocation, in the same index order as the frozen
+// interface-based closures in the tests, so decisions stay byte-identical
+// to them.
 type SAnn struct {
 	// MaxEvals overrides the annealing budget; 0 uses the default.
 	MaxEvals int
@@ -46,15 +45,15 @@ func NewSAnn() SAnn { return SAnn{} }
 func (SAnn) Name() string { return NameSAnn }
 
 // Decide implements Manager.
-func (m SAnn) Decide(ctx context.Context, p Platform, b Budget, rng *stats.RNG) ([]int, error) {
+func (m SAnn) Decide(ctx context.Context, snap *Snapshot, b Budget, rng *stats.RNG) ([]int, error) {
 	var k sannKernel
-	return m.decide(ctx, p, b, rng, &k)
+	return m.decide(ctx, snap, b, rng, &k)
 }
 
 // NewSession implements SessionManager: the returned manager decides
-// identically but reuses the snapshot tables and annealing scratch across
-// the consecutive intervals of one run, so steady-state Decide calls do
-// not allocate in the annealing loop.
+// identically but reuses the annealing scratch across the consecutive
+// intervals of one run, so steady-state Decide calls do not allocate in
+// the annealing loop.
 func (m SAnn) NewSession() Manager { return &sannSession{m: m} }
 
 type sannSession struct {
@@ -64,15 +63,14 @@ type sannSession struct {
 
 func (s *sannSession) Name() string { return s.m.Name() }
 
-func (s *sannSession) Decide(ctx context.Context, p Platform, b Budget, rng *stats.RNG) ([]int, error) {
-	return s.m.decide(ctx, p, b, rng, &s.k)
+func (s *sannSession) Decide(ctx context.Context, snap *Snapshot, b Budget, rng *stats.RNG) ([]int, error) {
+	return s.m.decide(ctx, snap, b, rng, &s.k)
 }
 
-// sannKernel is the reusable per-session state: the dense platform
-// snapshot, the objective coefficients, the x<->level translation
-// buffers, and the annealer's scratch vectors.
+// sannKernel is the reusable per-session state: the objective
+// coefficients, each core's lowest feasible level, the x<->level
+// translation buffers, and the annealer's scratch vectors.
 type sannKernel struct {
-	snap     Snapshot
 	coef     []float64
 	initCoef []float64
 	card     []int
@@ -82,22 +80,19 @@ type sannKernel struct {
 	scr      anneal.Scratch
 }
 
-func (m SAnn) decide(ctx context.Context, p Platform, b Budget, rng *stats.RNG, k *sannKernel) ([]int, error) {
-	if err := validatePlatform(p); err != nil {
+func (m SAnn) decide(ctx context.Context, snap *Snapshot, b Budget, rng *stats.RNG, k *sannKernel) ([]int, error) {
+	mins, err := floorLevels(snap, k.mins)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := startDecide(ctx, NameSAnn, p)
+	k.mins = mins
+	_, sp := startDecide(ctx, NameSAnn, snap)
 	defer sp.End()
-	k.snap.Capture(p)
-	snap := &k.snap
 	n := snap.Cores
 	k.coef = snap.ObjCoef(m.Objective, k.coef)
 	k.card = growInts(k.card, n)
-	k.mins = growInts(k.mins, n)
 	k.initX = growInts(k.initX, n)
 	k.levels = growInts(k.levels, n)
-	mins := k.mins
-	copy(mins, snap.MinLev)
 	for c := 0; c < n; c++ {
 		k.card[c] = snap.Levels - mins[c]
 	}
@@ -120,7 +115,7 @@ func (m SAnn) decide(ctx context.Context, p Platform, b Budget, rng *stats.RNG, 
 		}
 		initCoef = k.initCoef
 	}
-	init := greedyInit(snap, b, initCoef, k.levels)
+	init := greedyInit(snap, b, initCoef, mins, k.levels)
 	initX := k.initX
 	for c := range initX {
 		initX[c] = init[c] - mins[c]
@@ -141,10 +136,7 @@ func (m SAnn) decide(ctx context.Context, p Platform, b Budget, rng *stats.RNG, 
 		cfg.MaxEvals = m.MaxEvals
 	}
 
-	var (
-		res anneal.Result
-		err error
-	)
+	var res anneal.Result
 	if m.Chains > 1 {
 		res, err = anneal.SolveParallel(func(int) *anneal.Problem {
 			// Each chain owns a private decode buffer; the snapshot,
@@ -227,12 +219,13 @@ func sannEval(snap *Snapshot, b Budget, mins, levels []int, obj Objective, coef 
 // gain. On monotonic power curves (all real platforms) no free upgrade
 // exists and the selection reduces to the pure ratio comparison.
 //
-// coef carries the per-core objective weights from Snapshot.ObjCoef; the
-// result is written into out (len >= cores), which is also returned.
-func greedyInit(s *Snapshot, b Budget, coef []float64, out []int) []int {
+// coef carries the per-core objective weights from Snapshot.ObjCoef and
+// mins each core's lowest feasible level; the result is written into out
+// (len >= cores), which is also returned.
+func greedyInit(s *Snapshot, b Budget, coef []float64, mins, out []int) []int {
 	n, nl := s.Cores, s.Levels
 	levels := out[:n]
-	copy(levels, s.MinLev)
+	copy(levels, mins)
 	top := nl - 1
 	for {
 		bestCore := -1

@@ -11,8 +11,9 @@ import (
 // additional watt of Ptarget. Operators use it to answer "what would one
 // more watt of cooling buy?" — zero means the budget is not the binding
 // constraint (the chip already runs flat out).
-func BudgetSensitivity(p Platform, b Budget, obj Objective) (float64, error) {
-	if err := validatePlatform(p); err != nil {
+func BudgetSensitivity(snap *Snapshot, b Budget, obj Objective) (float64, error) {
+	minLev, err := floorLevels(snap, nil)
+	if err != nil {
 		return 0, err
 	}
 	if obj == ObjMinSpeed {
@@ -20,9 +21,7 @@ func BudgetSensitivity(p Platform, b Budget, obj Objective) (float64, error) {
 	}
 	// The same fits and LP rows LinOpt solves (3 points across each
 	// core's feasible range).
-	var snap Snapshot
-	snap.Capture(p)
-	l, err := newLinOptLP(&snap, b, 3, obj)
+	l, err := newLinOptLP(snap, b, 3, obj, minLev)
 	if err != nil {
 		return 0, err
 	}

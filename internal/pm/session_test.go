@@ -39,11 +39,12 @@ func TestLinOptSessionMatchesCold(t *testing.T) {
 				PTargetW:  35 + 30*rng.Float64(),
 				PCoreMaxW: 4 + 3*rng.Float64(),
 			}
-			want, err := m.Decide(context.Background(), f, b, nil)
+			s := f.snapshot()
+			want, err := m.Decide(context.Background(), s, b, nil)
 			if err != nil {
 				t.Fatalf("%v interval %d: cold: %v", obj, interval, err)
 			}
-			got, err := sess.Decide(context.Background(), f, b, nil)
+			got, err := sess.Decide(context.Background(), s, b, nil)
 			if err != nil {
 				t.Fatalf("%v interval %d: warm: %v", obj, interval, err)
 			}
@@ -70,12 +71,13 @@ func TestLinOptSessionInfeasibleRecovers(t *testing.T) {
 		{PTargetW: 45, PCoreMaxW: 5},
 		{PTargetW: 60, PCoreMaxW: 7},
 	}
+	s := f.snapshot()
 	for i, b := range budgets {
-		want, err := m.Decide(context.Background(), f, b, nil)
+		want, err := m.Decide(context.Background(), s, b, nil)
 		if err != nil {
 			t.Fatalf("interval %d: cold: %v", i, err)
 		}
-		got, err := sess.Decide(context.Background(), f, b, nil)
+		got, err := sess.Decide(context.Background(), s, b, nil)
 		if err != nil {
 			t.Fatalf("interval %d: warm: %v", i, err)
 		}

@@ -1,103 +1,94 @@
 package pm
 
-// Snapshot is a dense, interface-free capture of a Platform: flat
-// cores×levels tables of frequency and power plus the per-core IPC and
-// reference-IPS observables, read once per Decide call. The managers'
-// inner loops (annealing candidate evaluation, LinOpt's trim/refine
-// feedback, Foxton's budget walk) evaluate millions of candidate level
-// assignments per experiment; reading arrays instead of making dynamic
-// Platform calls removes the interface dispatch — and, for simulated
-// platforms whose PowerAt recomputes a model, the recomputation — from
-// every one of those evaluations.
+import (
+	"errors"
+	"fmt"
+)
+
+// Snapshot is the Table 3 view of the active cores that every manager
+// decides on: flat cores×levels tables of rated frequency and sensed power
+// plus the per-core IPC and reference-IPS observables. Core indices are
+// *active-core* indices (0..Cores-1), not die positions; the producer
+// keeps that mapping.
 //
-// Capture visits levels in ascending order within each core and cores in
-// ascending order, and every helper below consumes the tables in exactly
-// the same index order as the interface-based code it replaced, so all
-// accept/reject decisions and float accumulations are byte-identical to
-// the pre-snapshot path.
+// A producer fills the tables (the runtime once per DVFS interval, in
+// place) and managers only read them, so one Snapshot may be shared by
+// concurrent Decide calls — SAnn's parallel chains do exactly that. Each
+// manager keeps its per-decision data, such as every core's lowest
+// feasible level, in its own scratch.
 //
-// A Snapshot also implements Platform itself (over the captured values),
-// so code that still wants the interface view — validation, tests, the
-// Exhaustive enumerator — can use one without re-dispatching to the
-// underlying platform.
+// The helpers below consume the tables in a fixed index order (uncore
+// first, then cores ascending, levels ascending): the order of the frozen
+// interface-based managers the tests compare against, which keeps every
+// accept/reject decision and float accumulation byte-identical to them.
 type Snapshot struct {
 	Cores  int
 	Levels int
 	// Volt[l] is the ladder voltage, shared by all cores.
 	Volt []float64
-	// Freq and Power are row-major cores×levels: entry [c*Levels+l].
+	// Freq and Power are row-major cores×levels: entry [c*Levels+l]. A
+	// zero frequency marks a level the core cannot operate at.
 	Freq  []float64
 	Power []float64
-	// IPCs[c] and Refs[c] are the per-core sensor IPC and reference IPS.
+	// TrueIPC is the thread's actual, frequency-dependent IPC, also
+	// cores×levels. No paper algorithm reads it; the Oracle does, to
+	// quantify what LinOpt's frequency-independent-IPC approximation
+	// costs (DESIGN.md ablation 2). A producer that cannot measure it
+	// leaves it empty.
+	TrueIPC []float64
+	// IPCs[c] and Refs[c] are the per-core sensor IPC and reference IPS
+	// (the thread's IPS at reference conditions, which the weighted
+	// objectives divide by; paper Section 6.6).
 	IPCs []float64
 	Refs []float64
-	// Uncore is the shared-structure power counted against Ptarget.
+	// Uncore is the power of the shared structures (L2) that counts
+	// against Ptarget but is not per-core scalable.
 	Uncore float64
-	// MinLev[c] is the lowest feasible ladder level for core c (first
-	// level with non-zero frequency), precomputed during capture.
-	MinLev []int
 }
 
-// Capture fills the snapshot from p, reusing previously allocated tables
-// when the shape still fits, so a session-held Snapshot allocates only on
-// the first interval (or when the active-core count grows).
-func (s *Snapshot) Capture(p Platform) {
-	nc, nl := p.NumCores(), p.NumLevels()
-	s.Cores, s.Levels = nc, nl
-	s.Volt = growFloats(s.Volt, nl)
-	s.Freq = growFloats(s.Freq, nc*nl)
-	s.Power = growFloats(s.Power, nc*nl)
-	s.IPCs = growFloats(s.IPCs, nc)
-	s.Refs = growFloats(s.Refs, nc)
-	s.MinLev = growInts(s.MinLev, nc)
-	for l := 0; l < nl; l++ {
-		s.Volt[l] = p.VoltageAt(l)
+// Resize shapes the snapshot for cores×levels, reusing the tables'
+// capacity, so a producer that refills one Snapshot every interval
+// allocates only when the shape grows. Table contents are left for the
+// producer to overwrite.
+func (s *Snapshot) Resize(cores, levels int) {
+	s.Cores, s.Levels = cores, levels
+	s.Volt = growFloats(s.Volt, levels)
+	s.Freq = growFloats(s.Freq, cores*levels)
+	s.Power = growFloats(s.Power, cores*levels)
+	s.TrueIPC = growFloats(s.TrueIPC, cores*levels)
+	s.IPCs = growFloats(s.IPCs, cores)
+	s.Refs = growFloats(s.Refs, cores)
+}
+
+// floorLevels rejects degenerate snapshots with a clear error and returns
+// each core's lowest feasible ladder level (its first level with non-zero
+// frequency) in dst, grown as needed.
+func floorLevels(s *Snapshot, dst []int) ([]int, error) {
+	if s.Cores <= 0 {
+		return nil, errors.New("pm: no active cores")
 	}
-	for c := 0; c < nc; c++ {
-		s.IPCs[c] = p.IPC(c)
-		s.Refs[c] = p.RefIPS(c)
-		row := s.Freq[c*nl : (c+1)*nl]
-		prow := s.Power[c*nl : (c+1)*nl]
-		min, found := nl-1, false
-		for l := 0; l < nl; l++ {
-			f := p.FreqAt(c, l)
-			row[l] = f
-			prow[l] = p.PowerAt(c, l)
-			if !found && f > 0 {
-				min, found = l, true
-			}
+	if s.Levels <= 0 {
+		return nil, errors.New("pm: empty voltage ladder")
+	}
+	nl := s.Levels
+	for c := 0; c < s.Cores; c++ {
+		if s.Freq[c*nl+nl-1] <= 0 {
+			return nil, fmt.Errorf("pm: active core %d infeasible even at the top level", c)
 		}
-		s.MinLev[c] = min
 	}
-	s.Uncore = p.UncorePowerW()
+	dst = growInts(dst, s.Cores)
+	for c := range dst {
+		l := 0
+		for s.Freq[c*nl+l] <= 0 {
+			l++
+		}
+		dst[c] = l
+	}
+	return dst, nil
 }
 
-// NumCores implements Platform.
-func (s *Snapshot) NumCores() int { return s.Cores }
-
-// NumLevels implements Platform.
-func (s *Snapshot) NumLevels() int { return s.Levels }
-
-// VoltageAt implements Platform.
-func (s *Snapshot) VoltageAt(level int) float64 { return s.Volt[level] }
-
-// FreqAt implements Platform.
-func (s *Snapshot) FreqAt(core, level int) float64 { return s.Freq[core*s.Levels+level] }
-
-// PowerAt implements Platform.
-func (s *Snapshot) PowerAt(core, level int) float64 { return s.Power[core*s.Levels+level] }
-
-// IPC implements Platform.
-func (s *Snapshot) IPC(core int) float64 { return s.IPCs[core] }
-
-// UncorePowerW implements Platform.
-func (s *Snapshot) UncorePowerW() float64 { return s.Uncore }
-
-// RefIPS implements Platform.
-func (s *Snapshot) RefIPS(core int) float64 { return s.Refs[core] }
-
-// TotalPower returns chip power for a level assignment, accumulating in
-// the same order as totalPower (uncore first, then cores ascending).
+// TotalPower returns chip power for a level assignment: uncore first,
+// then cores ascending.
 func (s *Snapshot) TotalPower(levels []int) float64 {
 	sum := s.Uncore
 	for c, l := range levels {
@@ -126,7 +117,10 @@ func (s *Snapshot) ObjCoef(obj Objective, dst []float64) []float64 {
 	return dst
 }
 
-// objWeight mirrors Objective.weight on the captured tables.
+// objWeight is the per-core weight of the summed objectives: 1 for MIPS,
+// 1/RefIPS for weighted throughput (scaled by 1e9 to keep LP coefficients
+// well conditioned). Unlike ObjCoef it leaves ObjMinSpeed at weight 1,
+// which LinOpt's fit and SAnn's greedy start rely on.
 func (s *Snapshot) objWeight(obj Objective, core int) float64 {
 	if obj == ObjWeighted {
 		if ref := s.Refs[core]; ref > 0 {
@@ -136,8 +130,8 @@ func (s *Snapshot) objWeight(obj Objective, core int) float64 {
 	return 1
 }
 
-// minSpeedWeight mirrors the package-level minSpeedWeight on the
-// captured tables.
+// minSpeedWeight normalises per-thread speed by the thread's reference
+// IPS so "slowest" compares progress, not raw instruction rate.
 func (s *Snapshot) minSpeedWeight(core int) float64 {
 	if ref := s.Refs[core]; ref > 0 {
 		return 1e9 / ref
@@ -146,7 +140,9 @@ func (s *Snapshot) minSpeedWeight(core int) float64 {
 }
 
 // ObjectiveValue evaluates obj for a level assignment using coefficients
-// from ObjCoef, mirroring objectiveValue term by term.
+// from ObjCoef: the sum of the per-core terms, or their minimum for
+// ObjMinSpeed. With ObjMIPS it is the modelled MIPS, sensor IPC times
+// rated frequency.
 func (s *Snapshot) ObjectiveValue(levels []int, obj Objective, coef []float64) float64 {
 	nl := s.Levels
 	if obj == ObjMinSpeed {

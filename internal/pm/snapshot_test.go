@@ -3,6 +3,7 @@ package pm
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"vasched/internal/anneal"
@@ -66,7 +67,6 @@ func TestSnapshotDecideMatchesInterfacePath(t *testing.T) {
 		}{m: m, sess: m.NewSession()}
 		linSess[obj] = LinOpt{FitPoints: 3, Objective: obj}.NewSession()
 	}
-	foxSess := Foxton{}.NewSession()
 
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := stats.NewRNG(seed * 977)
@@ -76,20 +76,19 @@ func TestSnapshotDecideMatchesInterfacePath(t *testing.T) {
 			PTargetW:  p.uncore + float64(n)*(0.6+2.4*rng.Float64()),
 			PCoreMaxW: 1 + 5*rng.Float64(),
 		}
+		s := p.snapshot()
 
-		// Foxton: stateless and session vs the legacy walk.
+		// Foxton (stateless; it keeps no per-run state) vs the legacy walk.
 		want, err := legacyFoxtonDecide(p, b)
 		if err != nil {
 			t.Fatalf("seed %d: legacy Foxton: %v", seed, err)
 		}
-		for name, mgr := range map[string]Manager{"stateless": Foxton{}, "session": foxSess} {
-			got, err := mgr.Decide(context.Background(), p, b, nil)
-			if err != nil {
-				t.Fatalf("seed %d: Foxton %s: %v", seed, name, err)
-			}
-			if !eqLevels(got, want) {
-				t.Fatalf("seed %d: Foxton %s = %v, legacy %v", seed, name, got, want)
-			}
+		got, err := Foxton{}.Decide(context.Background(), s, b, nil)
+		if err != nil {
+			t.Fatalf("seed %d: Foxton: %v", seed, err)
+		}
+		if !eqLevels(got, want) {
+			t.Fatalf("seed %d: Foxton = %v, legacy %v", seed, got, want)
 		}
 
 		for _, obj := range []Objective{ObjMIPS, ObjWeighted, ObjMinSpeed} {
@@ -100,14 +99,14 @@ func TestSnapshotDecideMatchesInterfacePath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d obj %d: legacy LinOpt: %v", seed, obj, err)
 			}
-			got, err := lin.Decide(context.Background(), p, b, nil)
+			got, err := lin.Decide(context.Background(), s, b, nil)
 			if err != nil {
 				t.Fatalf("seed %d obj %d: LinOpt: %v", seed, obj, err)
 			}
 			if !eqLevels(got, want) {
 				t.Fatalf("seed %d obj %d: LinOpt = %v, legacy %v", seed, obj, got, want)
 			}
-			got, err = linSess[obj].Decide(context.Background(), p, b, nil)
+			got, err = linSess[obj].Decide(context.Background(), s, b, nil)
 			if err != nil {
 				t.Fatalf("seed %d obj %d: LinOpt session: %v", seed, obj, err)
 			}
@@ -122,14 +121,14 @@ func TestSnapshotDecideMatchesInterfacePath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d obj %d: legacy SAnn: %v", seed, obj, err)
 			}
-			got, err = sm.m.Decide(context.Background(), p, b, stats.NewRNG(seed))
+			got, err = sm.m.Decide(context.Background(), s, b, stats.NewRNG(seed))
 			if err != nil {
 				t.Fatalf("seed %d obj %d: SAnn: %v", seed, obj, err)
 			}
 			if !eqLevels(got, want) {
 				t.Fatalf("seed %d obj %d: SAnn = %v, legacy %v", seed, obj, got, want)
 			}
-			got, err = sm.sess.Decide(context.Background(), p, b, stats.NewRNG(seed))
+			got, err = sm.sess.Decide(context.Background(), s, b, stats.NewRNG(seed))
 			if err != nil {
 				t.Fatalf("seed %d obj %d: SAnn session: %v", seed, obj, err)
 			}
@@ -140,28 +139,35 @@ func TestSnapshotDecideMatchesInterfacePath(t *testing.T) {
 	}
 }
 
-// TestSnapshotMatchesPlatform spot-checks the captured tables against the
-// interface observables.
+// TestSnapshotMatchesPlatform checks the snapshot's tables and its
+// TotalPower / ObjectiveValue arithmetic against the frozen interface
+// observables and helpers, and floorLevels against minLevel.
 func TestSnapshotMatchesPlatform(t *testing.T) {
 	p := newFake(6)
 	p.minLev = []int{0, 2, 0, 0, 1, 0}
-	var s Snapshot
-	s.Capture(p)
-	if s.NumCores() != p.NumCores() || s.NumLevels() != p.NumLevels() {
-		t.Fatalf("shape %dx%d, want %dx%d", s.NumCores(), s.NumLevels(), p.NumCores(), p.NumLevels())
+	p.droop = []float64{0.1, 0, 0.2, 0, 0.05, 0}
+	s := p.snapshot()
+	if s.Cores != p.NumCores() || s.Levels != p.NumLevels() {
+		t.Fatalf("shape %dx%d, want %dx%d", s.Cores, s.Levels, p.NumCores(), p.NumLevels())
 	}
-	if s.UncorePowerW() != p.UncorePowerW() {
-		t.Fatalf("uncore %v != %v", s.UncorePowerW(), p.UncorePowerW())
+	if s.Uncore != p.UncorePowerW() {
+		t.Fatalf("uncore %v != %v", s.Uncore, p.UncorePowerW())
 	}
+	mins, err := floorLevels(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := s.Levels
 	for c := 0; c < p.NumCores(); c++ {
-		if s.IPC(c) != p.IPC(c) || s.RefIPS(c) != p.RefIPS(c) {
+		if s.IPCs[c] != p.IPC(c) || s.Refs[c] != p.RefIPS(c) {
 			t.Fatalf("core %d ipc/ref mismatch", c)
 		}
-		if s.MinLev[c] != minLevel(p, c) {
-			t.Fatalf("core %d MinLev = %d, want %d", c, s.MinLev[c], minLevel(p, c))
+		if mins[c] != minLevel(p, c) {
+			t.Fatalf("core %d floor level = %d, want %d", c, mins[c], minLevel(p, c))
 		}
 		for l := 0; l < p.NumLevels(); l++ {
-			if s.FreqAt(c, l) != p.FreqAt(c, l) || s.PowerAt(c, l) != p.PowerAt(c, l) {
+			if s.Freq[c*nl+l] != p.FreqAt(c, l) || s.Power[c*nl+l] != p.PowerAt(c, l) ||
+				s.TrueIPC[c*nl+l] != p.TrueIPCAt(c, l) {
 				t.Fatalf("core %d level %d table mismatch", c, l)
 			}
 		}
@@ -175,6 +181,114 @@ func TestSnapshotMatchesPlatform(t *testing.T) {
 		if got, want := s.ObjectiveValue(levels, obj, coef), objectiveValue(p, levels, obj); got != want {
 			t.Fatalf("obj %d: ObjectiveValue = %v, want %v", obj, got, want)
 		}
+	}
+
+	// Resize reuses the tables' storage when the shape does not grow.
+	freq := &s.Freq[0]
+	s.Resize(3, nl)
+	if len(s.Freq) != 3*nl || len(s.TrueIPC) != 3*nl || len(s.IPCs) != 3 || &s.Freq[0] != freq {
+		t.Fatalf("Resize(3, %d) did not reshape in place", nl)
+	}
+}
+
+// readOnlyManagers returns every manager configuration that decides on a
+// snapshot, stateless and as a fresh session; Exhaustive and the Oracle
+// only when n cores keep the enumeration small.
+func readOnlyManagers(n int) []Manager {
+	ms := []Manager{Foxton{}}
+	for _, obj := range []Objective{ObjMIPS, ObjWeighted, ObjMinSpeed} {
+		lin := LinOpt{FitPoints: 3, Objective: obj}
+		sa := SAnn{MaxEvals: 400, Objective: obj}
+		ms = append(ms, lin, lin.NewSession(), sa, sa.NewSession())
+	}
+	ms = append(ms, SAnn{MaxEvals: 400, Chains: 4, Workers: 2})
+	if n <= 4 {
+		ms = append(ms, NewExhaustive(), NewOracle())
+	}
+	return ms
+}
+
+// sameTables reports whether a and b hold bit-identical tables.
+func sameTables(a, b *Snapshot) bool {
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Cores == b.Cores && a.Levels == b.Levels &&
+		math.Float64bits(a.Uncore) == math.Float64bits(b.Uncore) &&
+		same(a.Volt, b.Volt) && same(a.Freq, b.Freq) && same(a.Power, b.Power) &&
+		same(a.TrueIPC, b.TrueIPC) && same(a.IPCs, b.IPCs) && same(a.Refs, b.Refs)
+}
+
+// TestDecideOnlyReadsSnapshot: on random snapshots, every manager leaves
+// every table bit-identical, and Decides running concurrently on one
+// snapshot return the serial results. Under -race, a manager writing to
+// the shared snapshot is also reported as a data race.
+func TestDecideOnlyReadsSnapshot(t *testing.T) {
+	enumerated := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := stats.NewRNG(seed * 31)
+		p := randomFake(rng)
+		n := p.NumCores()
+		p.droop = make([]float64, n)
+		for c := range p.droop {
+			p.droop[c] = 0.2 * rng.Float64()
+		}
+		b := Budget{
+			PTargetW:  p.uncore + float64(n)*(0.6+2.4*rng.Float64()),
+			PCoreMaxW: 1 + 5*rng.Float64(),
+		}
+		s, ref := p.snapshot(), p.snapshot()
+
+		mgrs := readOnlyManagers(n)
+		serial := make([][]int, len(mgrs))
+		for i, m := range mgrs {
+			got, err := m.Decide(context.Background(), s, b, stats.NewRNG(seed))
+			if err != nil {
+				t.Fatalf("seed %d: %s (#%d): %v", seed, m.Name(), i, err)
+			}
+			if !sameTables(s, ref) {
+				t.Fatalf("seed %d: %s (#%d) wrote to the snapshot", seed, m.Name(), i)
+			}
+			serial[i] = got
+		}
+		if n <= 4 {
+			enumerated++
+		}
+
+		mgrs = readOnlyManagers(n)
+		got := make([][]int, len(mgrs))
+		errs := make([]error, len(mgrs))
+		var wg sync.WaitGroup
+		for i, m := range mgrs {
+			wg.Add(1)
+			go func(i int, m Manager) {
+				defer wg.Done()
+				got[i], errs[i] = m.Decide(context.Background(), s, b, stats.NewRNG(seed))
+			}(i, m)
+		}
+		wg.Wait()
+		for i, m := range mgrs {
+			if errs[i] != nil {
+				t.Fatalf("seed %d: concurrent %s (#%d): %v", seed, m.Name(), i, errs[i])
+			}
+			if !eqLevels(got[i], serial[i]) {
+				t.Fatalf("seed %d: concurrent %s (#%d) = %v, serial %v", seed, m.Name(), i, got[i], serial[i])
+			}
+		}
+		if !sameTables(s, ref) {
+			t.Fatalf("seed %d: concurrent Decides wrote to the snapshot", seed)
+		}
+	}
+	if enumerated == 0 {
+		t.Fatal("no seed produced a platform small enough for Exhaustive and the Oracle")
 	}
 }
 
@@ -206,18 +320,17 @@ func TestGreedyInitPrefersFreeUpgrades(t *testing.T) {
 			1.0, 1.6, // core 1: dp 0.6, ratio 10
 			1.0, 1.5, // core 2: dp 0.5, ratio 1.1
 		},
-		IPCs:   []float64{1, 1, 1},
-		Refs:   []float64{0, 0, 0},
-		MinLev: []int{0, 0, 0},
+		IPCs: []float64{1, 1, 1},
+		Refs: []float64{0, 0, 0},
 	}
 	b := Budget{PTargetW: 3.55, PCoreMaxW: 10}
 	coef := s.ObjCoef(ObjMIPS, nil)
 
-	got := greedyInit(s, b, coef, make([]int, 3))
+	got := greedyInit(s, b, coef, []int{0, 0, 0}, make([]int, 3))
 	if want := []int{1, 1, 0}; !eqLevels(got, want) {
 		t.Fatalf("greedyInit = %v, want %v (free upgrade first)", got, want)
 	}
-	legacy := legacyGreedyInit(s, b, []int{0, 0, 0}, ObjMIPS)
+	legacy := legacyGreedyInit(tablePlatform{s}, b, []int{0, 0, 0}, ObjMIPS)
 	if want := []int{1, 0, 1}; !eqLevels(legacy, want) {
 		t.Fatalf("legacy greedyInit = %v, want %v (documents the quirk being fixed)", legacy, want)
 	}
@@ -227,19 +340,20 @@ func TestGreedyInitPrefersFreeUpgrades(t *testing.T) {
 // with a session-held scratch and the fused snapshot evaluator, a full
 // annealing solve allocates nothing.
 func TestAnnealInnerLoopZeroAlloc(t *testing.T) {
-	p := newFake(12)
-	var snap Snapshot
-	snap.Capture(p)
+	snap := newFake(12).snapshot()
 	b := Budget{PTargetW: 40, PCoreMaxW: 6}
 	coef := snap.ObjCoef(ObjMIPS, nil)
-	mins := snap.MinLev
+	mins, err := floorLevels(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	card := make([]int, snap.Cores)
 	for c := range card {
 		card[c] = snap.Levels - mins[c]
 	}
 	prob := &anneal.Problem{
 		Card: card,
-		Eval: sannEval(&snap, b, mins, make([]int, snap.Cores), ObjMIPS, coef),
+		Eval: sannEval(snap, b, mins, make([]int, snap.Cores), ObjMIPS, coef),
 		Init: make([]int, snap.Cores),
 	}
 	cfg := anneal.DefaultConfig(snap.Cores)
@@ -268,7 +382,7 @@ func TestSAnnChainsDeterministicAcrossWorkers(t *testing.T) {
 	var want []int
 	for _, workers := range []int{1, 2, 8} {
 		m := SAnn{MaxEvals: 1500, Chains: 4, Workers: workers}
-		got, err := m.Decide(context.Background(), p, b, stats.NewRNG(42))
+		got, err := m.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,11 +407,11 @@ func TestSAnnChainsNeverWorse(t *testing.T) {
 	// Chains=2 includes chain 1's stream (Derive(1)) plus one more.
 	m1 := SAnn{MaxEvals: 1500, Chains: 1}
 	m4 := SAnn{MaxEvals: 1500, Chains: 4}
-	l1, err := m1.Decide(context.Background(), p, b, stats.NewRNG(7))
+	l1, err := m1.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l4, err := m4.Decide(context.Background(), p, b, stats.NewRNG(7))
+	l4, err := m4.Decide(context.Background(), p.snapshot(), b, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,36 +425,27 @@ func TestSAnnChainsNeverWorse(t *testing.T) {
 }
 
 func BenchmarkSAnnSession20Cores(bench *testing.B) {
-	p := newFake(20)
+	s := newFake(20).snapshot()
 	b := Budget{PTargetW: 60, PCoreMaxW: 6}
 	sess := SAnn{MaxEvals: 20000}.NewSession()
 	rng := stats.NewRNG(1)
 	bench.ReportAllocs()
 	for i := 0; i < bench.N; i++ {
-		if _, err := sess.Decide(context.Background(), p, b, rng); err != nil {
+		if _, err := sess.Decide(context.Background(), s, b, rng); err != nil {
 			bench.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSAnnChains4(bench *testing.B) {
-	p := newFake(20)
+	s := newFake(20).snapshot()
 	b := Budget{PTargetW: 60, PCoreMaxW: 6}
 	m := SAnn{MaxEvals: 5000, Chains: 4}
 	rng := stats.NewRNG(1)
 	bench.ReportAllocs()
 	for i := 0; i < bench.N; i++ {
-		if _, err := m.Decide(context.Background(), p, b, rng); err != nil {
+		if _, err := m.Decide(context.Background(), s, b, rng); err != nil {
 			bench.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSnapshotCapture20Cores(bench *testing.B) {
-	p := newFake(20)
-	var s Snapshot
-	bench.ReportAllocs()
-	for i := 0; i < bench.N; i++ {
-		s.Capture(p)
 	}
 }
