@@ -246,26 +246,14 @@ func (c *Client) probe(ctx context.Context, w *worker) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Run shards the index space [0, n) of job across the workers and
-// returns one result blob per index, in index order — byte-identical to
-// running the kernel locally, whatever the shard size, worker count, or
-// failure pattern. The whole run fails (so the caller can degrade to
+// Run shards the given indices of job across the workers (the wire
+// format carries explicit die lists, so any index set shards alike) and
+// returns one result blob per entry, in argument order — byte-identical
+// to running the kernel locally, whatever the shard size, worker count,
+// or failure pattern. The whole run fails (so the caller can degrade to
 // local execution) only when some shard exhausted its retries or no
 // worker was available.
-func (c *Client) Run(ctx context.Context, job Job, n int) ([][]byte, error) {
-	indices := make([]int, n)
-	for i := range indices {
-		indices[i] = i
-	}
-	return c.RunIndices(ctx, job, indices)
-}
-
-// RunIndices is Run over an arbitrary index list: it shards exactly the
-// given indices (the wire format has always carried explicit die lists)
-// and returns one blob per entry, in argument order. The adaptive
-// sampling driver dispatches each round's stratum plan through this —
-// byte-identical to evaluating the same indices locally.
-func (c *Client) RunIndices(ctx context.Context, job Job, indices []int) ([][]byte, error) {
+func (c *Client) Run(ctx context.Context, job Job, indices []int) ([][]byte, error) {
 	if len(c.workers) == 0 {
 		c.opt.Metrics.Counter(`cluster_runs_total{status="degraded"}`).Inc()
 		return nil, ErrNoWorkers

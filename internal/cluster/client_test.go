@@ -46,6 +46,15 @@ func newTestWorker(t *testing.T) (*testExecutor, *httptest.Server) {
 
 var testJob = Job{Kernel: "k", Scale: "quick", Seed: 2008, BatchSeed: 1}
 
+// firstN returns the index list 0..n-1.
+func firstN(n int) []int {
+	indices := make([]int, n)
+	for i := range indices {
+		indices[i] = i
+	}
+	return indices
+}
+
 // checkBlobs asserts the reduction invariant: blob i is the kernel
 // result for index i, whatever worker produced it.
 func checkBlobs(t *testing.T, blobs [][]byte, n int) {
@@ -67,7 +76,7 @@ func TestRunShardsAcrossWorkers(t *testing.T) {
 	c := NewClient([]string{w1.URL, w2.URL}, Options{ShardSize: 3})
 
 	const n = 20
-	blobs, err := c.Run(context.Background(), testJob, n)
+	blobs, err := c.Run(context.Background(), testJob, firstN(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestShardSizeInvariance(t *testing.T) {
 	var ref [][]byte
 	for _, size := range []int{1, 3, 8, 64} {
 		c := NewClient([]string{w1.URL, w2.URL}, Options{ShardSize: size})
-		blobs, err := c.Run(context.Background(), testJob, 17)
+		blobs, err := c.Run(context.Background(), testJob, firstN(17))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +132,7 @@ func TestFaultRetryOnAnotherWorker(t *testing.T) {
 			c := NewClient([]string{w1.URL, w2.URL}, Options{
 				ShardSize: 4, Concurrency: 1, Fault: plan,
 			})
-			blobs, err := c.Run(context.Background(), testJob, 10)
+			blobs, err := c.Run(context.Background(), testJob, firstN(10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +167,7 @@ func TestDropIsSyntheticTimeout(t *testing.T) {
 		ShardSize: 8, Concurrency: 1, Timeout: time.Hour, Fault: plan,
 	})
 	start := time.Now()
-	_, err := c.Run(context.Background(), testJob, 4)
+	_, err := c.Run(context.Background(), testJob, firstN(4))
 	if err == nil {
 		t.Fatal("run succeeded with every dispatch dropped")
 	}
@@ -172,7 +181,7 @@ func TestDropIsSyntheticTimeout(t *testing.T) {
 
 func TestNoWorkersDegrades(t *testing.T) {
 	c := NewClient(nil, Options{})
-	_, err := c.Run(context.Background(), testJob, 5)
+	_, err := c.Run(context.Background(), testJob, firstN(5))
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -190,7 +199,7 @@ func TestAllWorkersFailing(t *testing.T) {
 	}))
 	t.Cleanup(bad.Close)
 	c := NewClient([]string{bad.URL}, Options{ShardSize: 4, Concurrency: 1, Retries: 2})
-	_, err := c.Run(context.Background(), testJob, 4)
+	_, err := c.Run(context.Background(), testJob, firstN(4))
 	if err == nil {
 		t.Fatal("run succeeded against a 500ing worker")
 	}
@@ -220,7 +229,7 @@ func TestHedgedStraggler(t *testing.T) {
 		ShardSize: 8, Concurrency: 1, HedgeAfter: 30 * time.Millisecond, Fault: plan,
 	})
 	start := time.Now()
-	blobs, err := c.Run(context.Background(), testJob, 8)
+	blobs, err := c.Run(context.Background(), testJob, firstN(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +285,7 @@ func TestProbeAll(t *testing.T) {
 	}
 	// The dead worker is skipped entirely: the run succeeds without
 	// dispatch errors.
-	blobs, err := c.Run(context.Background(), testJob, 6)
+	blobs, err := c.Run(context.Background(), testJob, firstN(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +327,7 @@ func TestRunCancellation(t *testing.T) {
 	c := NewClient([]string{slow.URL}, Options{ShardSize: 2, Concurrency: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(50 * time.Millisecond); cancel() }()
-	_, err := c.Run(ctx, testJob, 4)
+	_, err := c.Run(ctx, testJob, firstN(4))
 	if err == nil {
 		t.Fatal("cancelled run succeeded")
 	}

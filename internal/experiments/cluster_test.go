@@ -153,3 +153,42 @@ func TestExecutorRejectsUnknown(t *testing.T) {
 		t.Fatalf("unknown kernel error = %v", err)
 	}
 }
+
+// TestExecutorEnvCacheBounded: a worker keeps one Env per stock scale.
+// Shards naming ten different seed pairs — accepted or refused for a
+// config-hash mismatch — leave at most one quick Env behind, and a repeat
+// of the last seeds reuses it.
+func TestExecutorEnvCacheBounded(t *testing.T) {
+	x := NewExecutor(1)
+	for i := 0; i < 10; i++ {
+		req := &cluster.ShardRequest{Kernel: kernelDieRatios, Scale: "quick", Seed: int64(100 + i), BatchSeed: int64(200 + i)}
+		refused := i%2 == 1
+		if refused {
+			req.ConfigHash = 0xdeadbeef
+		}
+		_, err := x.ExecuteShard(t.Context(), req)
+		if refused && (err == nil || !strings.Contains(err.Error(), "config hash")) {
+			t.Fatalf("request %d: mismatched hash error = %v", i, err)
+		}
+		if !refused && err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		x.mu.Lock()
+		n := len(x.envs)
+		x.mu.Unlock()
+		if n > 1 {
+			t.Fatalf("after %d requests the worker caches %d Envs, want at most 1", i+1, n)
+		}
+	}
+	last := x.envs["quick"]
+	if last == nil || last.Seed != 109 || last.BatchSeed != 209 {
+		t.Fatalf("cached Env is not the last request's: %+v", last)
+	}
+	e, err := x.env("quick", 109, 209)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e != last {
+		t.Fatal("repeat of the cached seeds rebuilt the Env")
+	}
+}

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
+
+	"vasched/internal/metrics"
 )
 
 // TestParallelMatchesSerial is the determinism regression for the farm
@@ -38,6 +42,38 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("%s: typed results differ:\nserial:   %#v\nparallel: %#v", id, serial, par)
+		}
+	}
+}
+
+// TestTimelineExperimentsStopOnCancel: the timeline experiments fan out
+// through the farm engine, which checks the Env context before every
+// task, so a cancelled Env runs no timeline at all. The die cache is
+// warmed first: a cache hit under a cancelled context may return the
+// chip instead of the error, so only the fan-out can make the outcome
+// certain. Each case repeats to catch that coin flip.
+func TestTimelineExperimentsStopOnCancel(t *testing.T) {
+	e, err := QuickEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for die := 0; die < e.RunDies; die++ {
+		if _, err := e.Chip(die); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e.SetContext(ctx)
+	e.DecideHist = metrics.NewLatencyHist()
+	for _, id := range []string{"fig14", "ext-sched"} {
+		for i := 0; i < 10; i++ {
+			if _, err := Run(id, e); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s run %d under a cancelled context: err = %v, want context.Canceled", id, i, err)
+			}
+		}
+		if n := e.DecideHist.Count(); n != 0 {
+			t.Fatalf("%s: %d power-manager decisions ran after cancellation", id, n)
 		}
 	}
 }

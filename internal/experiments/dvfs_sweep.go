@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"vasched/internal/pm"
 	"vasched/internal/sched"
 	"vasched/internal/stats"
-	"vasched/internal/workload"
 )
 
 // Combo is one (scheduler, power manager) pairing of the paper's Table 1
@@ -57,36 +55,13 @@ func dvfsSweep(e *Env, env PowerEnv, combos []Combo, threads []int, obj pm.Objec
 			return nil, err
 		}
 		for _, n := range threads {
-			budget := env.Budget(n, e.Floorplan().NumCores)
-			// Die×trial fan-out through the farm; slots reduce in the
-			// serial loop's order (managers and policies are stateless
-			// values, so sharing them across workers is safe).
-			tasks := e.RunDies * e.Trials
-			slots := make([]*core.RunStats, tasks)
-			err := e.ForTasks(tasks, func(ctx context.Context, i int) error {
-				die, trial := i/e.Trials, i%e.Trials
-				c, err := e.Chip(die)
-				if err != nil {
-					return err
-				}
-				seed := e.Seed + int64(trial)*97 + int64(die)*13
-				apps := workload.Mix(stats.NewRNG(seed), n)
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy,
-					Mode: core.ModeDVFS, Manager: mgr, Budget: budget,
-					SampleIntervalMS: e.SampleMS, Seed: seed,
-					DecideHist: e.DecideHist, Ctx: ctx,
-				})
-				if err != nil {
-					return err
-				}
-				st, err := sys.Run(apps, e.SimMS)
-				if err != nil {
-					return err
-				}
-				slots[i] = st
-				return nil
-			})
+			// Managers and policies are stateless values, so every cell
+			// of the die×trial grid shares them.
+			slots, err := e.runTrials(core.Config{
+				Scheduler: policy, Mode: core.ModeDVFS, Manager: mgr,
+				Budget:           env.Budget(n, e.Floorplan().NumCores),
+				SampleIntervalMS: e.SampleMS, DecideHist: e.DecideHist,
+			}, n, e.SimMS)
 			if err != nil {
 				return nil, err
 			}

@@ -12,6 +12,7 @@ import (
 
 	"vasched/internal/chip"
 	"vasched/internal/cluster"
+	"vasched/internal/core"
 	"vasched/internal/cpusim"
 	"vasched/internal/delay"
 	"vasched/internal/diecache"
@@ -20,6 +21,7 @@ import (
 	"vasched/internal/metrics"
 	"vasched/internal/pm"
 	"vasched/internal/power"
+	"vasched/internal/stats"
 	"vasched/internal/thermal"
 	"vasched/internal/trace"
 	"vasched/internal/varmodel"
@@ -129,15 +131,8 @@ type Env struct {
 // service skip re-sampling entirely.
 var sharedDies = diecache.New(1024, "")
 
-// SharedDieCacheStats exposes the process-wide hit/miss counters (for
-// the vaschedd /metrics endpoint and the warm-run audits in tests).
-func SharedDieCacheStats() (hits, misses int64) {
-	st := sharedDies.Stats()
-	return st.Hits, st.Misses
-}
-
 // SharedDieCacheStatsFull exposes every counter the shared cache keeps,
-// including the disk-layer ones.
+// including the disk-layer ones (for the vaschedd /metrics endpoint).
 func SharedDieCacheStatsFull() diecache.Stats { return sharedDies.Stats() }
 
 // SetSharedDieCacheDir points the shared cache's blob store at dir
@@ -242,60 +237,89 @@ func (e *Env) Context() context.Context {
 // SetContext attaches a cancellation context to the Env.
 func (e *Env) SetContext(ctx context.Context) { e.ctx = ctx }
 
-// ForDies runs fn(ctx, die, chip) for every die in [0, n) through the
-// farm worker pool (Workers-wide). Characterised dies come from the
-// shared cache. fn must only write to state addressed by its die index;
-// callers reduce the slots serially afterwards, which keeps parallel
-// results bit-identical to the serial path. The callback's context
-// carries the per-task tracing span (fn must not let it affect results).
-func (e *Env) ForDies(n int, fn func(ctx context.Context, die int, c *chip.Chip) error) error {
-	return farm.Map(e.Context(), e.Workers, n, func(ctx context.Context, die int) error {
-		c, err := e.Chip(die)
-		if err != nil {
-			return err
-		}
-		return fn(ctx, die, c)
-	})
-}
-
 // ForTasks runs fn(ctx, i) for every task index in [0, n) through the
-// farm worker pool — the die×trial fan-out used by the timeline sweeps.
-// The callback's context carries the per-task tracing span.
+// farm worker pool (Workers-wide). fn must only write to state addressed
+// by its index; callers reduce the slots serially afterwards, which keeps
+// parallel results bit-identical to the serial path. The callback's
+// context carries the per-task tracing span (fn must not let it affect
+// results).
 func (e *Env) ForTasks(n int, fn func(ctx context.Context, i int) error) error {
 	return farm.Map(e.Context(), e.Workers, n, fn)
 }
 
-// ShardRunner distributes a kernel's index space across remote workers
-// and returns one blob per index, in index order. RunIndices is the same
-// contract over an explicit index list (the adaptive driver's stratum
-// plans dispatch through it). internal/cluster's Client is the production
-// implementation.
-type ShardRunner interface {
-	Run(ctx context.Context, job cluster.Job, n int) ([][]byte, error)
-	RunIndices(ctx context.Context, job cluster.Job, indices []int) ([][]byte, error)
+// trialSeed is the seed rule of the die×trial timeline grid (DESIGN.md
+// section 6): trial `trial` on die `die` draws its workload mix and runs
+// its timeline from this seed, so a result depends only on (die, trial),
+// never on which worker or shard computed it.
+func (e *Env) trialSeed(die, trial int) int64 {
+	return e.Seed + int64(die)*13 + int64(trial)*97
 }
 
-// ForDiesKernel runs the registered kernel for every index in [0, n) and
-// reduces the serialized results serially in index order. This is the
-// distributable sibling of ForDies: with a Cluster attached (and a stock
-// Scale), the index space is sharded across remote workers; otherwise —
-// or when the whole cluster is down — the kernel runs locally through
-// the farm pool. Both paths produce byte-identical blobs, so the reduce
-// step (and therefore the experiment's rendered report) cannot tell them
-// apart; clustering, shard size, retries, hedging, and degradation are
-// all invisible in the output.
+// runTrials runs cfg on every (die, trial) cell of the RunDies×Trials
+// grid, each a threads-thread random workload simulated for durationMS,
+// and returns the run statistics die-major (index die*Trials+trial), the
+// order the experiments reduce in. cfg is a template: each cell fills in
+// its die's Chip, the CPU model, its task context and its trialSeed.
+func (e *Env) runTrials(cfg core.Config, threads int, durationMS float64) ([]*core.RunStats, error) {
+	out := make([]*core.RunStats, e.RunDies*e.Trials)
+	err := e.ForTasks(len(out), func(ctx context.Context, i int) error {
+		die, trial := i/e.Trials, i%e.Trials
+		c, err := e.Chip(die)
+		if err != nil {
+			return err
+		}
+		run := cfg
+		run.Chip, run.CPU, run.Ctx = c, e.CPU(), ctx
+		run.Seed = e.trialSeed(die, trial)
+		sys, err := core.New(run)
+		if err != nil {
+			return err
+		}
+		out[i], err = sys.Run(workload.Mix(stats.NewRNG(run.Seed), threads), durationMS)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ShardRunner distributes a kernel's index list across remote workers
+// and returns one blob per index, in argument order. internal/cluster's
+// Client is the production implementation.
+type ShardRunner interface {
+	Run(ctx context.Context, job cluster.Job, indices []int) ([][]byte, error)
+}
+
+// ForDiesKernel is ForDiesKernelIndices over every index in [0, n),
+// under the Env's context.
 func (e *Env) ForDiesKernel(name string, n int, reduce func(index int, blob []byte) error) error {
+	return e.ForDiesKernelIndices(e.Context(), name, indexRange(n), reduce)
+}
+
+// ForDiesKernelIndices runs the registered kernel for exactly the given
+// indices and reduces the serialized results serially in argument order
+// (pos is the position within indices; the caller maps pos back to
+// indices[pos]). With a Cluster attached (and a stock Scale), the
+// indices are sharded across remote workers; otherwise — or when the
+// whole cluster is down — the kernel runs locally through the farm pool.
+// Both paths produce byte-identical blobs, so the reduce step (and
+// therefore the experiment's rendered report) cannot tell them apart;
+// clustering, shard size, retries, hedging, and degradation are all
+// invisible in the output. ctx is an argument so that callers such as
+// the adaptive driver's rounds parent the kernel spans.
+func (e *Env) ForDiesKernelIndices(ctx context.Context, name string, indices []int, reduce func(pos int, blob []byte) error) error {
 	clustered := e.Cluster != nil && e.Scale != ""
 	path := "local"
 	if clustered {
 		path = "cluster"
 	}
-	ctx, sp := trace.Start(e.Context(), "env.kernel",
-		trace.String("kernel", name), trace.Int("n", n), trace.String("path", path))
+	ctx, sp := trace.Start(ctx, "env.kernel",
+		trace.String("kernel", name), trace.Int("n", len(indices)), trace.String("path", path))
 	defer sp.End()
 	if clustered {
 		job := cluster.Job{Kernel: name, Scale: e.Scale, Seed: e.Seed, BatchSeed: e.BatchSeed, ConfigHash: e.cfgHash}
-		blobs, err := e.Cluster.Run(ctx, job, n)
+		blobs, err := e.Cluster.Run(ctx, job, indices)
 		if err == nil {
 			return reduceBlobs(blobs, reduce)
 		}
@@ -311,46 +335,6 @@ func (e *Env) ForDiesKernel(name string, n int, reduce func(index int, blob []by
 	if err != nil {
 		return err
 	}
-	blobs, err := farm.Collect(ctx, e.Workers, n, func(ctx context.Context, i int) ([]byte, error) {
-		return k(ctx, e, i)
-	})
-	if err != nil {
-		return err
-	}
-	return reduceBlobs(blobs, reduce)
-}
-
-// ForDiesKernelIndices is ForDiesKernel over an explicit index list: the
-// registered kernel runs for exactly the given indices (cluster-sharded
-// when attached, local farm otherwise) and reduce sees the blobs serially
-// in argument order (pos is the position within indices; the caller maps
-// pos back to indices[pos]). This is the fan-out the adaptive sampling
-// driver uses to evaluate one round's stratum plan; ctx is taken as an
-// argument so round trace spans parent the kernel spans.
-func (e *Env) ForDiesKernelIndices(ctx context.Context, name string, indices []int, reduce func(pos int, blob []byte) error) error {
-	clustered := e.Cluster != nil && e.Scale != ""
-	path := "local"
-	if clustered {
-		path = "cluster"
-	}
-	ctx, sp := trace.Start(ctx, "env.kernel",
-		trace.String("kernel", name), trace.Int("n", len(indices)), trace.String("path", path))
-	defer sp.End()
-	if clustered {
-		job := cluster.Job{Kernel: name, Scale: e.Scale, Seed: e.Seed, BatchSeed: e.BatchSeed, ConfigHash: e.cfgHash}
-		blobs, err := e.Cluster.RunIndices(ctx, job, indices)
-		if err == nil {
-			return reduceBlobs(blobs, reduce)
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		trace.Event(ctx, "cluster.degrade")
-	}
-	k, err := kernelByName(name)
-	if err != nil {
-		return err
-	}
 	blobs, err := farm.Collect(ctx, e.Workers, len(indices), func(ctx context.Context, i int) ([]byte, error) {
 		return k(ctx, e, indices[i])
 	})
@@ -358,6 +342,15 @@ func (e *Env) ForDiesKernelIndices(ctx context.Context, name string, indices []i
 		return err
 	}
 	return reduceBlobs(blobs, reduce)
+}
+
+// indexRange returns the indices 0..n-1.
+func indexRange(n int) []int {
+	indices := make([]int, n)
+	for i := range indices {
+		indices[i] = i
+	}
+	return indices
 }
 
 // reduceBlobs applies reduce serially in index order.
@@ -385,8 +378,8 @@ func (e *Env) Apps() []*workload.AppProfile { return e.pool }
 // concurrent requests for the same die share one characterisation, and
 // with a blob directory configured a cache miss tries the disk layer
 // before re-sampling. Safe for concurrent use: the generator serialises
-// its own FFT scratch, and its pair cache keeps even/odd siblings on the
-// batched sampling path even when dies are requested one at a time.
+// its own FFT scratch, and its pair cache serves an odd die from its even
+// sibling's transform when the two are requested back to back.
 func (e *Env) Chip(die int) (*chip.Chip, error) {
 	key := diecache.Key{ConfigHash: e.cfgHash, BatchSeed: e.BatchSeed, Die: die}
 	v, err := e.dies.Get(e.Context(), key,

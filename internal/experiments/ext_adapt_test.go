@@ -105,9 +105,10 @@ func TestExtAdaptUnknownMetric(t *testing.T) {
 	}
 }
 
-// The adaptive rounds dispatch as cluster shards (RunIndices carries each
-// round's stratum plan); the run must render byte-identically through any
-// worker count, under faults, and when degraded back to local.
+// The adaptive rounds dispatch as cluster shards (each round's stratum
+// plan travels as the index list of one cluster Run); the run must render
+// byte-identically through any worker count, under faults, and when
+// degraded back to local.
 func TestExtAdaptClusterIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster determinism proof runs full kernels")

@@ -53,9 +53,9 @@ func schedPMTask(ctx context.Context, e *Env, die, trial int) (schedPMBlob, erro
 	if err != nil {
 		return b, err
 	}
-	// The same per-index seed formula the timeline sweeps use: the
-	// result depends only on (die, trial), never on shard layout.
-	seed := e.Seed + int64(die)*13 + int64(trial)*97
+	// The timeline sweeps' seed rule: the result depends only on (die,
+	// trial), never on shard layout.
+	seed := e.trialSeed(die, trial)
 	apps := workload.Mix(stats.NewRNG(seed), clusterThreads)
 	plat, err := core.FrozenSnapshot(c, e.CPU(), apps, seed)
 	if err != nil {

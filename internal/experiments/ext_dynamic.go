@@ -95,7 +95,7 @@ func init() {
 		}
 		var b dieTransientBlob
 		for trial := 0; trial < e.Trials; trial++ {
-			seed := e.Seed + int64(die)*13 + int64(trial)*97
+			seed := e.trialSeed(die, trial)
 			cfg, apps := dynBaseConfig(e, seed)
 			cfg.Chip = c
 			cfg.Ctx = ctx
@@ -119,7 +119,7 @@ func init() {
 		}
 		b := diePhaseMigBlob{MIPS: make([]float64, len(extDynMigPenaltiesMS))}
 		for trial := 0; trial < e.Trials; trial++ {
-			seed := e.Seed + int64(die)*13 + int64(trial)*97
+			seed := e.trialSeed(die, trial)
 			inv := 1 / float64(e.Trials)
 			for pi, pen := range extDynMigPenaltiesMS {
 				cfg, apps := dynBaseConfig(e, seed)
@@ -157,8 +157,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		seed := e.Seed + int64(die)*13
-		cfg, apps := dynBaseConfig(e, seed)
+		cfg, apps := dynBaseConfig(e, e.trialSeed(die, 0))
 		cfg.Chip = c
 		cfg.Ctx = ctx
 		hres, err := dynamic.RunHorizon(dynamic.HorizonConfig{

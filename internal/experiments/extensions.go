@@ -46,39 +46,27 @@ func ExtSched(e *Env) (*ExtSchedResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		runs, err := e.runTrials(core.Config{
+			Scheduler: policy, Mode: core.ModeNUniFreq,
+			// Short OS interval so migration (the TempAware mechanism)
+			// actually happens within the run, and transient thermal so
+			// migrated-to cores heat up with realistic inertia instead of
+			// instantly.
+			OSIntervalMS:     20,
+			TransientThermal: true,
+			WarmupMS:         warmup,
+			SampleIntervalMS: e.SampleMS,
+		}, 12, warmup+dur)
+		if err != nil {
+			return nil, err
+		}
 		var mips, pw, maxT, wear, ed2 []float64
-		for die := 0; die < e.RunDies; die++ {
-			c, err := e.Chip(die)
-			if err != nil {
-				return nil, err
-			}
-			for trial := 0; trial < e.Trials; trial++ {
-				seed := e.Seed + int64(trial)*97 + int64(die)*13
-				apps := workload.Mix(stats.NewRNG(seed), 12)
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: core.ModeNUniFreq,
-					// Short OS interval so migration (the TempAware
-					// mechanism) actually happens within the run, and
-					// transient thermal so migrated-to cores heat up with
-					// realistic inertia instead of instantly.
-					OSIntervalMS:     20,
-					TransientThermal: true,
-					WarmupMS:         warmup,
-					SampleIntervalMS: e.SampleMS, Seed: seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				st, err := sys.Run(apps, warmup+dur)
-				if err != nil {
-					return nil, err
-				}
-				mips = append(mips, st.MIPS)
-				pw = append(pw, st.AvgPowerW)
-				maxT = append(maxT, st.MaxTempC)
-				wear = append(wear, st.WearoutMax)
-				ed2 = append(ed2, st.EDSquared)
-			}
+		for _, st := range runs {
+			mips = append(mips, st.MIPS)
+			pw = append(pw, st.AvgPowerW)
+			maxT = append(maxT, st.MaxTempC)
+			wear = append(wear, st.WearoutMax)
+			ed2 = append(ed2, st.EDSquared)
 		}
 		res.Rows = append(res.Rows, ExtSchedRow{
 			Policy: pname, MIPS: stats.Mean(mips), AvgPowerW: stats.Mean(pw),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -31,7 +32,6 @@ type Fig14Result struct {
 // cover several re-solves of the longest interval.
 func Fig14(e *Env) (*Fig14Result, error) {
 	intervals := []float64{2000, 1000, 500, 100, 10}
-	res := &Fig14Result{}
 	policy, err := sched.New(sched.NameVarFAppIPC)
 	if err != nil {
 		return nil, err
@@ -40,6 +40,16 @@ func Fig14(e *Env) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One task per (threads, interval, trial) timeline, listed in the
+	// serial sweep's order, so every point's deviations reduce in trial
+	// order however the farm schedules the tasks.
+	type task struct {
+		point, threads int
+		durMS          float64
+		cfg            core.Config
+	}
+	res := &Fig14Result{}
+	var tasks []task
 	for _, n := range []int{4, 20} {
 		budget := CostPerformance.Budget(n, e.Floorplan().NumCores)
 		for _, interval := range intervals {
@@ -54,17 +64,16 @@ func Fig14(e *Env) (*Fig14Result, error) {
 			if dur < warm+e.SimMS {
 				dur = warm + e.SimMS
 			}
-			var devs []float64
 			trials := e.Trials
 			if interval >= 500 && trials > 2 {
 				// Long timelines are expensive; two trials suffice for a
 				// mean deviation.
 				trials = 2
 			}
+			point := len(res.Points)
+			res.Points = append(res.Points, Fig14Point{IntervalMS: interval, Threads: n})
 			for trial := 0; trial < trials; trial++ {
-				seed := e.Seed + int64(trial)*31
-				apps := workload.Mix(stats.NewRNG(seed), n)
-				sys, err := core.New(core.Config{
+				tasks = append(tasks, task{point: point, threads: n, durMS: dur, cfg: core.Config{
 					Chip: c, CPU: e.CPU(), Scheduler: policy,
 					Mode: core.ModeDVFS, Manager: pm.NewLinOpt(), Budget: budget,
 					DVFSIntervalMS: interval,
@@ -75,22 +84,37 @@ func Fig14(e *Env) (*Fig14Result, error) {
 					// effect.
 					OSIntervalMS:     dur + 1,
 					SampleIntervalMS: 1,
-					Seed:             seed,
+					Seed:             e.Seed + int64(trial)*31,
 					DecideHist:       e.DecideHist,
-				})
-				if err != nil {
-					return nil, err
-				}
-				st, err := sys.Run(apps, dur)
-				if err != nil {
-					return nil, err
-				}
-				devs = append(devs, st.PowerDeviationPct)
+				}})
 			}
-			res.Points = append(res.Points, Fig14Point{
-				IntervalMS: interval, Threads: n, DeviationPct: stats.Mean(devs),
-			})
 		}
+	}
+	devs := make([]float64, len(tasks))
+	err = e.ForTasks(len(tasks), func(ctx context.Context, i int) error {
+		t := tasks[i]
+		cfg := t.cfg
+		cfg.Ctx = ctx
+		sys, err := core.New(cfg)
+		if err != nil {
+			return err
+		}
+		st, err := sys.Run(workload.Mix(stats.NewRNG(cfg.Seed), t.threads), t.durMS)
+		if err != nil {
+			return err
+		}
+		devs[i] = st.PowerDeviationPct
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pointDevs := make([][]float64, len(res.Points))
+	for i, t := range tasks {
+		pointDevs[t.point] = append(pointDevs[t.point], devs[i])
+	}
+	for p := range res.Points {
+		res.Points[p].DeviationPct = stats.Mean(pointDevs[p])
 	}
 	return res, nil
 }

@@ -62,21 +62,29 @@ func Fig4(e *Env) (*Fig4Result, error) {
 	// farm fills index-addressed slots, clustered the shards come back
 	// from remote workers — either way the reduction below runs serially
 	// in die order over byte-identical blobs.
-	err := e.ForDiesKernel(kernelDieRatios, e.NumDies, func(die int, blob []byte) error {
-		var s dieRatiosBlob
-		if err := json.Unmarshal(blob, &s); err != nil {
-			return fmt.Errorf("experiments: die %d ratios blob: %w", die, err)
-		}
+	err := forDieRatios(e, e.NumDies, func(s dieRatiosBlob) {
 		res.PowerRatio = append(res.PowerRatio, s.PowerRatio)
 		res.FreqRatio = append(res.FreqRatio, s.FreqRatio)
 		res.PowerHist.Add(s.PowerRatio)
 		res.FreqHist.Add(s.FreqRatio)
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// forDieRatios runs the die-ratios kernel over dies [0, n) of e and
+// hands each die's decoded ratios to fn, serially in die order.
+func forDieRatios(e *Env, n int, fn func(dieRatiosBlob)) error {
+	return e.ForDiesKernel(kernelDieRatios, n, func(die int, blob []byte) error {
+		var s dieRatiosBlob
+		if err := json.Unmarshal(blob, &s); err != nil {
+			return fmt.Errorf("experiments: die %d ratios blob: %w", die, err)
+		}
+		fn(s)
+		return nil
+	})
 }
 
 // dieRatios computes one die's max/min core power and frequency ratios.
@@ -149,23 +157,13 @@ func Fig5(e *Env) (*Fig5Result, error) {
 		if err := sub.init(); err != nil {
 			return nil, err
 		}
-		type ratios struct{ pr, fr float64 }
-		slots := make([]ratios, e.NumDies)
-		err := sub.ForDies(e.NumDies, func(_ context.Context, die int, c *chip.Chip) error {
-			pr, fr, err := dieRatios(&sub, c)
-			if err != nil {
-				return err
-			}
-			slots[die] = ratios{pr: pr, fr: fr}
-			return nil
+		var prs, frs []float64
+		err := forDieRatios(&sub, e.NumDies, func(s dieRatiosBlob) {
+			prs = append(prs, s.PowerRatio)
+			frs = append(frs, s.FreqRatio)
 		})
 		if err != nil {
 			return nil, err
-		}
-		prs := make([]float64, e.NumDies)
-		frs := make([]float64, e.NumDies)
-		for die, s := range slots {
-			prs[die], frs[die] = s.pr, s.fr
 		}
 		res.Points = append(res.Points, Fig5Point{
 			SigmaOverMu: sm,

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"vasched/internal/core"
 	"vasched/internal/sched"
 	"vasched/internal/stats"
-	"vasched/internal/workload"
 )
 
 // SchedCell is the mean outcome of one (policy, thread-count) cell of a
@@ -33,33 +31,9 @@ func schedSweep(e *Env, mode core.Mode, policyNames []string, threads []int) (ma
 			return nil, err
 		}
 		for _, n := range threads {
-			// Fan the die×trial grid across the farm: every trial is an
-			// independent timeline (its seed depends only on die and
-			// trial), so slots reduce in the serial loop's order.
-			tasks := e.RunDies * e.Trials
-			slots := make([]*core.RunStats, tasks)
-			err := e.ForTasks(tasks, func(ctx context.Context, i int) error {
-				die, trial := i/e.Trials, i%e.Trials
-				c, err := e.Chip(die)
-				if err != nil {
-					return err
-				}
-				seed := e.Seed + int64(trial)*97 + int64(die)*13
-				apps := workload.Mix(stats.NewRNG(seed), n)
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: mode,
-					SampleIntervalMS: e.SampleMS, Seed: seed, Ctx: ctx,
-				})
-				if err != nil {
-					return err
-				}
-				st, err := sys.Run(apps, e.SimMS)
-				if err != nil {
-					return err
-				}
-				slots[i] = st
-				return nil
-			})
+			slots, err := e.runTrials(core.Config{
+				Scheduler: policy, Mode: mode, SampleIntervalMS: e.SampleMS,
+			}, n, e.SimMS)
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -28,31 +27,9 @@ func Sec74(e *Env) (*Sec74Result, error) {
 		return nil, err
 	}
 	run := func(mode core.Mode) (freq, power, ed2 float64, err error) {
-		// Die×trial fan-out through the farm; reduce in serial order.
-		tasks := e.RunDies * e.Trials
-		slots := make([]*core.RunStats, tasks)
-		err = e.ForTasks(tasks, func(ctx context.Context, i int) error {
-			die, trial := i/e.Trials, i%e.Trials
-			c, err := e.Chip(die)
-			if err != nil {
-				return err
-			}
-			seed := e.Seed + int64(trial)*97 + int64(die)*13
-			apps := workload.Mix(stats.NewRNG(seed), 20)
-			sys, err := core.New(core.Config{
-				Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: mode,
-				SampleIntervalMS: e.SampleMS, Seed: seed, Ctx: ctx,
-			})
-			if err != nil {
-				return err
-			}
-			st, err := sys.Run(apps, e.SimMS)
-			if err != nil {
-				return err
-			}
-			slots[i] = st
-			return nil
-		})
+		slots, err := e.runTrials(core.Config{
+			Scheduler: policy, Mode: mode, SampleIntervalMS: e.SampleMS,
+		}, 20, e.SimMS)
 		if err != nil {
 			return 0, 0, 0, err
 		}

@@ -12,26 +12,23 @@ import (
 // Executor is the worker-side bridge between the cluster protocol and
 // the experiment kernels: it rebuilds the stock Env a shard request
 // names (by scale + seeds) and runs the requested kernel over the
-// shard's indices through the local farm pool. Envs are cached per
-// (scale, seed, batch seed), so repeated shards of one experiment share
-// the process-wide die cache exactly like a local run would.
+// shard's indices through the local farm pool. It keeps the last Env
+// built for each stock scale, so repeated shards of one experiment reuse
+// it (and share the process-wide die cache exactly like a local run
+// would), while a request naming other seeds replaces it: a worker holds
+// at most one Env per stock scale, however many seeds it has served or
+// refused.
 type Executor struct {
 	workers int
 
 	mu   sync.Mutex
-	envs map[envKey]*Env
-}
-
-type envKey struct {
-	scale     string
-	seed      int64
-	batchSeed int64
+	envs map[string]*Env // by Scale
 }
 
 // NewExecutor returns an executor whose kernel loops use the given farm
 // worker count (0 = GOMAXPROCS).
 func NewExecutor(workers int) *Executor {
-	return &Executor{workers: workers, envs: make(map[envKey]*Env)}
+	return &Executor{workers: workers, envs: make(map[string]*Env)}
 }
 
 // ExecuteShard implements cluster.Executor.
@@ -67,12 +64,14 @@ func (x *Executor) ExecuteShard(ctx context.Context, req *cluster.ShardRequest) 
 	return &cluster.ShardResponse{Blobs: blobs}, nil
 }
 
-// env returns the cached stock Env for the key, building it on first use.
+// env returns the stock Env for (scale, seed, batchSeed): the cached one
+// if it has those seeds, otherwise a fresh one that replaces it. Shards in
+// flight keep their own shallow copies, so replacement never disturbs
+// them.
 func (x *Executor) env(scale string, seed, batchSeed int64) (*Env, error) {
-	key := envKey{scale: scale, seed: seed, batchSeed: batchSeed}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if e, ok := x.envs[key]; ok {
+	if e, ok := x.envs[scale]; ok && e.Seed == seed && e.BatchSeed == batchSeed {
 		return e, nil
 	}
 	var (
@@ -93,6 +92,6 @@ func (x *Executor) env(scale string, seed, batchSeed int64) (*Env, error) {
 	e.Seed = seed
 	e.BatchSeed = batchSeed
 	e.Workers = x.workers
-	x.envs[key] = e
+	x.envs[scale] = e
 	return e, nil
 }

@@ -6,9 +6,10 @@
 //
 //  1. Per-index seed derivation. Every random stream a task uses is
 //     derived from its index (varmodel.Generator.Die(batchSeed, die),
-//     the experiments' seed = Seed + trial*97 + die*13 formulas), never
-//     from shared mutable RNG state, so results do not depend on which
-//     worker runs the task or in what order.
+//     the experiments' per-trial seeds, a function of (die, trial) only;
+//     DESIGN.md section 6 gives the rule), never from shared mutable RNG
+//     state, so results do not depend on which worker runs the task or in
+//     what order.
 //  2. Index-slotted collection. Workers write into result slots addressed
 //     by task index; callers reduce the slots serially in index order, so
 //     floating-point accumulation order matches the serial loop exactly.

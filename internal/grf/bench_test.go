@@ -39,27 +39,6 @@ func BenchmarkNewCirculantSampler(b *testing.B) {
 	}
 }
 
-// BenchmarkCirculantSampleBatch is the batched die pipeline: one
-// SampleBatch call amortises the slab allocation and scratch reuse across
-// the whole batch, and each transform pair runs the region-pruned FFT.
-// ns/field is the comparable unit against BenchmarkCirculantSample.
-func BenchmarkCirculantSampleBatch(b *testing.B) {
-	const batch = 32
-	s, err := NewCirculantSampler(benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := stats.NewRNG(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SampleBatch(rng, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/field")
-}
-
 var benchCholCfg = Config{Rows: 32, Cols: 32, Phi: 0.5, Sigma: 0.03}
 
 func BenchmarkCholeskySample(b *testing.B) {

@@ -161,42 +161,18 @@ func (s *CirculantSampler) Sample(rng *stats.RNG) (*Field, error) {
 // of fields (e.g. die k of a batch for odd k, regenerated in isolation on
 // a cluster worker) use it to rebuild a transform pair from its seed
 // alone, in any order.
-func (s *CirculantSampler) SamplePair(rng *stats.RNG) (*Field, *Field, error) {
-	n := s.cfg.Rows * s.cfg.Cols
-	a := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, n)}
-	b := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, n)}
-	if err := s.samplePairInto(rng, a, b); err != nil {
-		return nil, nil, err
-	}
-	return a, b, nil
-}
-
-// SamplePairInto is SamplePair writing into caller-provided fields, which
-// must be shaped Rows×Cols with backing storage already allocated. Batch
-// builders (varmodel.Generator.Batch) use it to land every map of a die
-// batch in one slab allocation while keeping the per-pair RNG derivation
-// — and therefore die identity — exactly that of the one-at-a-time path.
-func (s *CirculantSampler) SamplePairInto(rng *stats.RNG, a, b *Field) error {
-	want := s.cfg.Rows * s.cfg.Cols
-	if a == nil || b == nil || a.Rows != s.cfg.Rows || a.Cols != s.cfg.Cols ||
-		b.Rows != s.cfg.Rows || b.Cols != s.cfg.Cols || len(a.Data) != want || len(b.Data) != want {
-		return fmt.Errorf("grf: SamplePairInto targets must be %dx%d fields", s.cfg.Rows, s.cfg.Cols)
-	}
-	return s.samplePairInto(rng, a, b)
-}
-
-// samplePairInto runs one transform pair into caller-provided fields. The
-// noise draws and the butterfly arithmetic are exactly those of the
+//
+// The noise draws and the butterfly arithmetic are exactly those of the
 // original full-transform pipeline; only the column transforms nobody
 // reads (the padded torus is 4x the chip in each dimension) are pruned,
 // which the region-transform contract guarantees cannot perturb a bit of
 // the kept corner.
-func (s *CirculantSampler) samplePairInto(rng *stats.RNG, a, b *Field) error {
+func (s *CirculantSampler) SamplePair(rng *stats.RNG) (*Field, *Field, error) {
 	n := s.prows * s.pcols
 	norm := 1.0 / math.Sqrt(float64(n))
 	sc, sl := s.scratch, s.sqrtLambda
 	if len(sc) != n || len(sl) != n {
-		return fmt.Errorf("grf: scratch %d / spectrum %d for %d-point transform", len(sc), len(sl), n)
+		return nil, nil, fmt.Errorf("grf: scratch %d / spectrum %d for %d-point transform", len(sc), len(sl), n)
 	}
 	for i := range sc {
 		// Complex white noise scaled by sqrt(lambda)/sqrt(n): after an
@@ -205,8 +181,10 @@ func (s *CirculantSampler) samplePairInto(rng *stats.RNG, a, b *Field) error {
 		sc[i] = complex(rng.Norm()*sl[i]*norm, rng.Norm()*sl[i]*norm)
 	}
 	if err := fft.ForwardRegion2D(sc, s.prows, s.pcols, s.cfg.Rows, s.cfg.Cols); err != nil {
-		return fmt.Errorf("grf: sampling transform: %w", err)
+		return nil, nil, fmt.Errorf("grf: sampling transform: %w", err)
 	}
+	a := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, s.cfg.Rows*s.cfg.Cols)}
+	b := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, s.cfg.Rows*s.cfg.Cols)}
 	for r := 0; r < s.cfg.Rows; r++ {
 		row := sc[r*s.pcols : r*s.pcols+s.cfg.Cols]
 		ar := a.Data[r*s.cfg.Cols : (r+1)*s.cfg.Cols]
@@ -216,43 +194,5 @@ func (s *CirculantSampler) samplePairInto(rng *stats.RNG, a, b *Field) error {
 			br[c] = imag(z)
 		}
 	}
-	return nil
-}
-
-// SampleBatch draws n realisations in one call. The returned fields are
-// bit-for-bit identical to n sequential Sample calls on the same stream —
-// including the spare-field contract: a pending spare from an earlier
-// Sample is consumed first, and an odd tail leaves its unconsumed twin
-// behind as the new spare. The batch path exists for speed, not for new
-// semantics: all n fields' backing storage comes from one slab
-// allocation, and every transform pair reuses the sampler's scratch, so
-// generating a 200-die batch costs two allocations instead of ~400.
-func (s *CirculantSampler) SampleBatch(rng *stats.RNG, n int) ([]*Field, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("grf: negative batch size %d", n)
-	}
-	if n == 0 {
-		return []*Field{}, nil
-	}
-	out := make([]*Field, 0, n+1)
-	if s.spare != nil {
-		out = append(out, s.spare)
-		s.spare = nil
-	}
-	pairs := (n - len(out) + 1) / 2
-	fn := s.cfg.Rows * s.cfg.Cols
-	slab := make([]float64, 2*pairs*fn)
-	for p := 0; p < pairs; p++ {
-		a := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: slab[(2*p)*fn : (2*p+1)*fn : (2*p+1)*fn]}
-		b := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: slab[(2*p+1)*fn : (2*p+2)*fn : (2*p+2)*fn]}
-		if err := s.samplePairInto(rng, a, b); err != nil {
-			return nil, err
-		}
-		out = append(out, a, b)
-	}
-	if len(out) > n {
-		s.spare = out[n]
-		out = out[:n]
-	}
-	return out, nil
+	return a, b, nil
 }

@@ -26,40 +26,33 @@ func dieBitIdentical(a, b *DieMaps) bool {
 	return true
 }
 
+// dieWalk generates dies 0..n-1 in order on a fresh generator: the
+// reference every die-purity test compares against (each odd die is
+// served from its even sibling's transform by the pair cache).
+func dieWalk(t *testing.T, cfg Config, batchSeed int64, n int) []*DieMaps {
+	t.Helper()
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dies := make([]*DieMaps, n)
+	for i := range dies {
+		if dies[i], err = g.Die(batchSeed, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dies
+}
+
 // TestBatchMatchesDieByDie is the core of the die-purity wall: for every
-// batch parity, Batch must be byte-identical to one-at-a-time Die — in
-// forward order, and in a shuffled order that breaks the even/odd pair
-// cadence (so the single-entry pair cache never helps and every odd die
-// is regenerated in isolation).
+// batch parity, walking the batch in a shuffled order that breaks the
+// even/odd pair cadence (so the single-entry pair cache never helps and
+// every odd die is regenerated in isolation) must be byte-identical to
+// the in-order walk.
 func TestBatchMatchesDieByDie(t *testing.T) {
 	cfg := testConfig()
 	for _, n := range []int{0, 1, 2, 5, 8} {
-		gBatch, err := NewGenerator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := gBatch.Batch(31, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) != n {
-			t.Fatalf("Batch(%d) returned %d dies", n, len(batch))
-		}
-
-		gSeq, err := NewGenerator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			d, err := gSeq.Die(31, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !dieBitIdentical(batch[i], d) {
-				t.Fatalf("n=%d: batch die %d differs from sequential Die", n, i)
-			}
-		}
-
+		want := dieWalk(t, cfg, 31, n)
 		// Shuffled access order: odd dies first, then evens in reverse —
 		// every fields() call takes the isolated-regeneration path.
 		gShuf, err := NewGenerator(cfg)
@@ -80,33 +73,22 @@ func TestBatchMatchesDieByDie(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !dieBitIdentical(batch[i], d) {
-				t.Fatalf("n=%d: batch die %d differs from shuffled-order Die", n, i)
+			if !dieBitIdentical(want[i], d) {
+				t.Fatalf("n=%d: shuffled-order die %d differs from the in-order walk", n, i)
 			}
 		}
 	}
-	g, _ := NewGenerator(cfg)
-	if _, err := g.Batch(1, -1); err == nil {
-		t.Error("negative batch size accepted")
-	}
 }
 
-// TestDieConcurrentSafe hammers one Generator from many goroutines (mixed
-// Die and Batch calls, overlapping indices) and checks every result
-// against a serially generated reference. Under -race this also proves
-// the single-entry pair cache and the samplers' shared scratch are
-// properly serialised.
+// TestDieConcurrentSafe hammers one Generator from many goroutines (an
+// in-order walk racing rotated walks over overlapping indices) and checks
+// every result against a serially generated reference. Under -race this
+// also proves the single-entry pair cache and the samplers' shared
+// scratch are properly serialised.
 func TestDieConcurrentSafe(t *testing.T) {
 	cfg := testConfig()
-	ref, err := NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 6
-	want, err := ref.Batch(11, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := dieWalk(t, cfg, 11, n)
 
 	g, err := NewGenerator(cfg)
 	if err != nil {
@@ -114,7 +96,7 @@ func TestDieConcurrentSafe(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)
-	for w := 0; w < 4; w++ {
+	for w := 0; w < 5; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -132,21 +114,6 @@ func TestDieConcurrentSafe(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dies, err := g.Batch(11, n)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		for i := range dies {
-			if !dieBitIdentical(want[i], dies[i]) {
-				t.Errorf("concurrent Batch: die %d diverged", i)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -155,9 +122,8 @@ func TestDieConcurrentSafe(t *testing.T) {
 }
 
 // TestSampleCountAccounting pins the sampler-invocation counter the cache
-// layer audits: a fresh n-die batch costs exactly two invocations per
-// transform pair (Vth + Leff), an in-order walk costs the same, and a
-// pair-cache hit costs zero.
+// layer audits: an in-order n-die walk costs exactly two invocations per
+// transform pair (Vth + Leff), and a pair-cache hit costs zero.
 func TestSampleCountAccounting(t *testing.T) {
 	cfg := testConfig()
 	g, err := NewGenerator(cfg)
@@ -167,11 +133,13 @@ func TestSampleCountAccounting(t *testing.T) {
 	if got := g.SampleCount(); got != 0 {
 		t.Fatalf("fresh generator SampleCount = %d", got)
 	}
-	if _, err := g.Batch(3, 8); err != nil { // 4 pairs
-		t.Fatal(err)
+	for i := 0; i < 8; i++ { // 4 pairs
+		if _, err := g.Die(3, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := g.SampleCount(); got != 8 {
-		t.Fatalf("Batch(8) SampleCount = %d, want 8", got)
+		t.Fatalf("8-die walk SampleCount = %d, want 8", got)
 	}
 	if _, err := g.Die(3, 0); err != nil { // computes a pair, caches die 1
 		t.Fatal(err)

@@ -2,12 +2,12 @@ package varmodel
 
 import "testing"
 
-// BenchmarkDieBatch measures the batched die pipeline end to end at the
-// QuickEnv map resolution: per op, Batch generates 16 dies (32 maps
-// through 16 pruned transform pairs, all landing in one slab). ns/die is
-// the comparable unit against two BenchmarkCirculantSample ops, which is
-// what one die cost on the one-at-a-time path.
-func BenchmarkDieBatch(b *testing.B) {
+// BenchmarkDieInOrder measures die generation end to end at the QuickEnv
+// map resolution: per op, one generator walks dies 0..15 in order (32
+// maps through 16 pruned transform pairs; each odd die comes from its
+// even sibling's transform via the pair cache). ns/die is the comparable
+// unit against two BenchmarkCirculantSample ops.
+func BenchmarkDieInOrder(b *testing.B) {
 	const dies = 16
 	cfg := DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 128, 128
@@ -18,8 +18,10 @@ func BenchmarkDieBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Batch(7, dies); err != nil {
-			b.Fatal(err)
+		for k := 0; k < dies; k++ {
+			if _, err := g.Die(7, k); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dies), "ns/die")

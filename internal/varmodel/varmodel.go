@@ -130,7 +130,7 @@ func (d *DieMaps) LeffMeanOverRect(x0, y0, x1, y1 float64) float64 {
 // one Config. It owns the (expensive) spectral decompositions, so
 // generating 200 dies costs 200 FFTs, not 200 factorizations.
 //
-// A Generator is safe for concurrent use: Die and Batch serialise on an
+// A Generator is safe for concurrent use: Die serialises on an
 // internal mutex, which protects both the single-entry pair cache and the
 // samplers' shared scratch/spare state. Callers that want parallel die
 // generation should shard indices across per-worker Generators (die
@@ -269,58 +269,4 @@ func (g *Generator) fields(batchSeed int64, index int) (*grf.Field, *grf.Field, 
 	}
 	g.pair = nil
 	return vthB, leffB, nil
-}
-
-// Batch generates dies 0..n-1 for the given batch seed. With circulant
-// samplers it rides the batched pipeline: both maps of every die land in
-// one slab allocation and each transform pair is drawn via SamplePairInto
-// with exactly the per-pair RNG derivation the one-at-a-time Die path
-// uses (NewRNG(batchSeed*1_000_003 + base), Derive(1) for Vth, Derive(2)
-// for Leff), so the result is byte-identical to n sequential Die calls —
-// the batch-purity tests pin this.
-func (g *Generator) Batch(batchSeed int64, n int) ([]*DieMaps, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("varmodel: negative batch size %d", n)
-	}
-	vcs, vok := g.vthSampler.(*grf.CirculantSampler)
-	lcs, lok := g.leffSampler.(*grf.CirculantSampler)
-	if !vok || !lok {
-		dies := make([]*DieMaps, n)
-		for i := range dies {
-			d, err := g.Die(batchSeed, i)
-			if err != nil {
-				return nil, err
-			}
-			dies[i] = d
-		}
-		return dies, nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	fn := g.cfg.GridRows * g.cfg.GridCols
-	pairs := (n + 1) / 2
-	// Layout per pair: vthA, vthB, leffA, leffB — four maps, two dies.
-	slab := make([]float64, 4*pairs*fn)
-	field := func(i int) *grf.Field {
-		return &grf.Field{Rows: g.cfg.GridRows, Cols: g.cfg.GridCols, Data: slab[i*fn : (i+1)*fn : (i+1)*fn]}
-	}
-	dies := make([]*DieMaps, n)
-	for p := 0; p < pairs; p++ {
-		base := 2 * p
-		vthA, vthB := field(4*p), field(4*p+1)
-		leffA, leffB := field(4*p+2), field(4*p+3)
-		rng := stats.NewRNG(batchSeed*1_000_003 + int64(base))
-		g.samples.Add(2)
-		if err := vcs.SamplePairInto(rng.Derive(1), vthA, vthB); err != nil {
-			return nil, fmt.Errorf("varmodel: sampling Vth map: %w", err)
-		}
-		if err := lcs.SamplePairInto(rng.Derive(2), leffA, leffB); err != nil {
-			return nil, fmt.Errorf("varmodel: sampling Leff map: %w", err)
-		}
-		dies[base] = g.dieMaps(batchSeed, base, vthA, leffA)
-		if base+1 < n {
-			dies[base+1] = g.dieMaps(batchSeed, base+1, vthB, leffB)
-		}
-	}
-	return dies, nil
 }

@@ -60,14 +60,7 @@ func TestSigmaDecomposition(t *testing.T) {
 
 func TestDieMapsStatistics(t *testing.T) {
 	cfg := testConfig()
-	g, err := NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dies, err := g.Batch(1, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dies := dieWalk(t, cfg, 1, 30)
 	// Pool all map cells: mean ~ 0 offset, std ~ sigma_sys.
 	var all []float64
 	for _, d := range dies {
@@ -206,14 +199,7 @@ func TestSigmaOverMuZero(t *testing.T) {
 // into the next.
 func TestDieOrderIndependence(t *testing.T) {
 	cfg := testConfig()
-	g1, err := NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := g1.Batch(3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := dieWalk(t, cfg, 3, 6)
 	// Out-of-order and isolated walks on fresh generators: every die must
 	// reproduce its in-order twin bit for bit (odd indices are the sharp
 	// case: their fields come from the preceding even die's transform).
