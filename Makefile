@@ -109,7 +109,7 @@ goldens-check: goldens
 # artefacts) against the committed baseline without writing a snapshot.
 benchcheck:
 	$(GO) run ./cmd/benchstatus -check -nowrite \
-		-pkgs ./internal/grf,./internal/thermal,./internal/linsolve,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt
+		-pkgs ./internal/grf,./internal/thermal,./internal/linsolve,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core
 
 # benchsnap records a fresh full-suite snapshot (BENCH_<date>.json).
 benchsnap:

@@ -241,6 +241,11 @@ type RunStats struct {
 type System struct {
 	cfg Config
 	rng *stats.RNG
+	// Set and read only by in-package tests: evalEveryTick turns off the
+	// reuse of unchanged steady-state evaluations, and evals counts the
+	// chip evaluations of the last Run.
+	evalEveryTick bool
+	evals         int
 }
 
 // New validates cfg and returns a System.
@@ -252,6 +257,15 @@ func New(cfg Config) (*System, error) {
 	return &System{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}, nil
 }
 
+// evalKey is one core's share of what a steady-state chip evaluation
+// depends on: the thread, its operating point and its phase index. A
+// powered-off core has the zero key.
+type evalKey struct {
+	app   *workload.AppProfile
+	v, f  float64
+	phase int
+}
+
 // Run executes the workload for the given simulated duration and returns
 // aggregate statistics. The number of threads must not exceed the number
 // of cores. Each tick of SampleIntervalMS runs, in order: the OS interval
@@ -259,7 +273,10 @@ func New(cfg Config) (*System, error) {
 // (ModeDVFS only), the operating points under the governor's clamp, the
 // steady-state or transient chip evaluation, progress and phase
 // crossings, wearout, and the governor's look at the tick's peak
-// temperature.
+// temperature. A steady-state evaluation runs only on ticks where some
+// core's (app, V, f, phase) differs from the last evaluated vector;
+// otherwise the last result is reused, which is exact because Evaluate is
+// a pure function of that vector.
 func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats, error) {
 	c := s.cfg.Chip
 	if len(apps) == 0 {
@@ -350,14 +367,17 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 	)
 	out := &RunStats{DurationMS: durationMS, Instructions: instructions}
 
-	// Per-tick buffers: apart from steady-state evaluations and DVFS
-	// decisions, the loop allocates nothing. prevTemps chains the
-	// transient thermal state; eval's slices are recycled by
-	// EvaluateTransientInto.
+	// Per-tick buffers: apart from steady-state evaluations at a changed
+	// operating point and DVFS decisions, the loop allocates nothing.
+	// prevTemps chains the transient thermal state; eval's slices are
+	// recycled by EvaluateTransientInto. evalKeys is the (app, V, f,
+	// phase) vector lastEval was evaluated at in steady-state mode.
 	var assignment sched.Assignment
 	var lastEval *chip.EvalResult
 	var eval chip.EvalResult
 	var prevTemps []float64
+	evalKeys := make([]evalKey, c.NumCores())
+	s.evals = 0
 	levels := make([]int, nT) // ladder levels the mode chose (DVFS decisions)
 	stallMS := make([]float64, nT)
 	states := c.OffStates()
@@ -486,8 +506,33 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 			prevTemps = append(prevTemps[:0], eval.BlockTempC...)
 			err = c.EvaluateTransientInto(&eval, states, s.cfg.CPU, prevTemps, dt)
 			res = &eval
+			s.evals++
 		} else {
-			res, err = c.Evaluate(states, s.cfg.CPU)
+			// Evaluate is a pure function of the (app, V, f, phase)
+			// vector: its fixed point restarts from the same warm start
+			// on every call, it draws no random numbers, and cpusim's IPC
+			// is stateless. While the vector repeats, lastEval is what
+			// Evaluate would return, bit for bit. The result is shared
+			// across ticks and must stay read-only: progress, wearout, the
+			// governor, the accumulators, the scheduler's temperatures and
+			// fillSnapshot only read it.
+			changed := lastEval == nil || s.evalEveryTick
+			for core, st := range states {
+				var k evalKey
+				if st.App != nil {
+					k = evalKey{app: st.App, v: st.V, f: st.F}
+					k.phase, _ = st.App.PhaseIndexAt(st.ElapsedMS)
+				}
+				if k != evalKeys[core] {
+					evalKeys[core] = k
+					changed = true
+				}
+			}
+			res = lastEval
+			if changed {
+				res, err = c.Evaluate(states, s.cfg.CPU)
+				s.evals++
+			}
 		}
 		if err != nil {
 			return nil, err

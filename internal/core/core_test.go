@@ -27,7 +27,7 @@ var (
 	buildErr  error
 )
 
-func testSystemParts(t *testing.T) (*chip.Chip, *cpusim.Model) {
+func testSystemParts(t testing.TB) (*chip.Chip, *cpusim.Model) {
 	t.Helper()
 	buildOnce.Do(func() {
 		cfg := varmodel.DefaultConfig()

@@ -66,7 +66,7 @@ func TestTimelineExperimentsStopOnCancel(t *testing.T) {
 	cancel()
 	e.SetContext(ctx)
 	e.DecideHist = metrics.NewLatencyHist()
-	for _, id := range []string{"fig14", "ext-sched"} {
+	for _, id := range []string{"fig14", "ext-sched", "ext-abb"} {
 		for i := 0; i < 10; i++ {
 			if _, err := Run(id, e); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s run %d under a cancelled context: err = %v, want context.Canceled", id, i, err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -51,42 +52,49 @@ func ExtABB(e *Env) (*ExtABBResult, error) {
 		res.TotalStaticABB += biased.StaticAtLevel[coreID][top]
 	}
 
-	gain := func(c *chip.Chip) (float64, error) {
-		var rnd, varf []float64
+	// One task per (die, trial, policy) timeline, listed in the serial
+	// order — base die then biased die, trials ascending, Random then
+	// VarF&AppIPC — so the means reduce in that order however the farm
+	// schedules the tasks.
+	chips := []*chip.Chip{baseC, biased}
+	policies := []sched.Policy{sched.RandomPolicy{}, sched.VarFAppIPCPolicy{}}
+	type task struct{ die, trial, policy int }
+	var tasks []task
+	for die := range chips {
 		for trial := 0; trial < e.Trials; trial++ {
-			seed := e.Seed + int64(trial)*41
-			apps := workload.Mix(stats.NewRNG(seed), 8)
-			for _, pname := range []string{sched.NameRandom, sched.NameVarFAppIPC} {
-				policy, err := sched.New(pname)
-				if err != nil {
-					return 0, err
-				}
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: core.ModeNUniFreq,
-					SampleIntervalMS: e.SampleMS, Seed: seed,
-				})
-				if err != nil {
-					return 0, err
-				}
-				st, err := sys.Run(apps, e.SimMS)
-				if err != nil {
-					return 0, err
-				}
-				if pname == sched.NameRandom {
-					rnd = append(rnd, st.MIPS)
-				} else {
-					varf = append(varf, st.MIPS)
-				}
+			for p := range policies {
+				tasks = append(tasks, task{die, trial, p})
 			}
 		}
-		return (stats.Mean(varf)/stats.Mean(rnd) - 1) * 100, nil
 	}
-	if res.SchedGainBasePct, err = gain(baseC); err != nil {
+	mips := make([]float64, len(tasks))
+	err = e.ForTasks(len(tasks), func(ctx context.Context, i int) error {
+		t := tasks[i]
+		seed := e.Seed + int64(t.trial)*41
+		sys, err := core.New(core.Config{
+			Chip: chips[t.die], CPU: e.CPU(), Scheduler: policies[t.policy], Mode: core.ModeNUniFreq,
+			SampleIntervalMS: e.SampleMS, Seed: seed, Ctx: ctx,
+		})
+		if err != nil {
+			return err
+		}
+		st, err := sys.Run(workload.Mix(stats.NewRNG(seed), 8), e.SimMS)
+		if err != nil {
+			return err
+		}
+		mips[i] = st.MIPS
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if res.SchedGainABBPct, err = gain(biased); err != nil {
-		return nil, err
+	// byDie[die][policy] holds the trials' MIPS in trial order.
+	var byDie [2][2][]float64
+	for i, t := range tasks {
+		byDie[t.die][t.policy] = append(byDie[t.die][t.policy], mips[i])
 	}
+	gain := func(m [2][]float64) float64 { return (stats.Mean(m[1])/stats.Mean(m[0]) - 1) * 100 }
+	res.SchedGainBasePct, res.SchedGainABBPct = gain(byDie[0]), gain(byDie[1])
 	return res, nil
 }
 

@@ -65,8 +65,10 @@ func TestTracingPreservesOutputs(t *testing.T) {
 // Workers=1 the tree — names, nesting, and attributes, with timestamps
 // deliberately excluded — is a pure function of the workload and seed, so
 // any unintentional change to what the hot paths do (extra decides,
-// reordered fan-out, lost attributes) diffs here. Regenerate intentionally
-// with -update.
+// reordered fan-out, lost attributes) diffs here. The process-wide die
+// cache is warmed by an untraced serial run first: the goldens hold no
+// diecache.fill spans, and a cold cache would add them or not depending
+// on which tests ran before. Regenerate intentionally with -update.
 func TestTraceTreeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiments; skipped in -short")
@@ -77,6 +79,14 @@ func TestTraceTreeGolden(t *testing.T) {
 	for _, id := range []string{"fig4", "ext-sann-par"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
+			warm, err := QuickEnv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm.Workers = 1
+			if _, err := Run(id, warm); err != nil {
+				t.Fatal(err)
+			}
 			e, tr := tracedQuickEnv(t, 1)
 			if _, err := Run(id, e); err != nil {
 				t.Fatal(err)
