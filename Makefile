@@ -72,9 +72,10 @@ fuzzseed:
 	$(GO) test -fuzz FuzzConfigHash -fuzztime 10s ./internal/diecache
 
 # cover prints per-package statement coverage and fails if any of the
-# gated packages (the concurrency- and protocol-heavy ones) drops below
-# 80%. Numbers are recorded in EXPERIMENTS.md ("Coverage gate").
-COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload
+# gated packages (the concurrency- and protocol-heavy ones, and the die
+# generation path that workers share) drops below 80%. Numbers are
+# recorded in EXPERIMENTS.md ("Coverage gate").
+COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel
 
 # The timeline engine carries a higher bar: core's tick loop integrates
 # four subsystems (thermal, power, scheduling, wearout) plus the optional

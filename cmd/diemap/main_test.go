@@ -71,4 +71,7 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-sigma", "9"}, &buf); err == nil {
 		t.Fatal("absurd sigma accepted")
 	}
+	if err := run([]string{"-die", "-1", "-grid", "64"}, &buf); err == nil || !strings.Contains(err.Error(), "outside [0, 1000003)") {
+		t.Fatalf("negative die index: error %v, want the valid range", err)
+	}
 }

@@ -377,9 +377,9 @@ func (e *Env) Apps() []*workload.AppProfile { return e.pool }
 // content-addressed cache keyed by (config hash, BatchSeed, die);
 // concurrent requests for the same die share one characterisation, and
 // with a blob directory configured a cache miss tries the disk layer
-// before re-sampling. Safe for concurrent use: the generator serialises
-// its own FFT scratch, and its pair cache serves an odd die from its even
-// sibling's transform when the two are requested back to back.
+// before re-sampling. Safe for concurrent use: the shared generator
+// samples outside its lock, and workers building dies 2k and 2k+1 at the
+// same time split that pair's transforms between them.
 func (e *Env) Chip(die int) (*chip.Chip, error) {
 	key := diecache.Key{ConfigHash: e.cfgHash, BatchSeed: e.BatchSeed, Die: die}
 	v, err := e.dies.Get(e.Context(), key,

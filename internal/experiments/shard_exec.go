@@ -51,8 +51,9 @@ func (x *Executor) ExecuteShard(ctx context.Context, req *cluster.ShardRequest) 
 		return nil, err
 	}
 	// Shallow copy so the request's context doesn't race with concurrent
-	// shards sharing the cached Env (the copy shares the generator mutex
-	// and die cache through pointers, like the fig5 sub-Envs do).
+	// shards sharing the cached Env (the copy shares the generator and its
+	// pair table, and the die cache, through pointers, like the fig5
+	// sub-Envs do).
 	env := *base
 	env.SetContext(ctx)
 	blobs, err := farm.Collect(ctx, x.workers, len(req.Dies), func(ctx context.Context, i int) ([]byte, error) {

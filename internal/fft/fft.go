@@ -262,27 +262,60 @@ func Inverse2D(x []complex128, rows, cols int) error {
 }
 
 // ForwardRegion2D computes the forward DFT of an rows×cols matrix but
-// materialises only the top-left keepRows×keepCols corner of the result:
-// every row is fully transformed (each output column mixes every input
-// column), but the column-stage transforms — and their gather/scatter
-// traffic — run only for the first keepCols columns, and only the first
-// keepRows entries of each transformed column are written back.
-//
-// The kept region is bit-for-bit identical to what Forward2D would have
-// produced there: column transforms are independent of one another, so
-// skipping the columns nobody reads cannot perturb the columns that are
-// kept. Values outside the region are left in the intermediate
-// (row-transformed) state and must be treated as garbage.
-//
-// Circulant-embedding samplers are the intended caller: the padded torus
-// is 4x the chip grid in each dimension, so 15/16 of the full transform's
-// column-stage output is computed only to be discarded. This entry point
-// skips that work while keeping the kept corner exact.
+// materialises only the top-left keepRows×keepCols corner of the result,
+// written back in place. It is ForwardRegionRows over the rows of x;
+// values outside the region must be treated as garbage.
 func ForwardRegion2D(x []complex128, rows, cols, keepRows, keepCols int) error {
+	if len(x) != rows*cols {
+		return fmt.Errorf("fft: matrix buffer has %d elements, want %d", len(x), rows*cols)
+	}
 	if keepRows < 0 || keepRows > rows || keepCols < 0 || keepCols > cols {
 		return fmt.Errorf("fft: region %dx%d outside matrix %dx%d", keepRows, keepCols, rows, cols)
 	}
-	return transformRegion2D(x, rows, cols, keepRows, keepCols, nil)
+	dst := make([]complex128, rows*keepCols)
+	err := ForwardRegionRows(dst, make([]complex128, cols), rows, cols, keepRows, keepCols,
+		func(r int, row []complex128) { copy(row, x[r*cols:(r+1)*cols]) })
+	if err != nil {
+		return err
+	}
+	for r := 0; r < keepRows; r++ {
+		copy(x[r*cols:r*cols+keepCols], dst[r*keepCols:(r+1)*keepCols])
+	}
+	return nil
+}
+
+// ForwardRegionRows computes the top-left keepRows×keepCols corner of the
+// forward DFT of an rows×cols matrix whose rows are streamed rather than
+// stored: fill writes input row r into row (caller-owned scratch of
+// length cols), for r = 0..rows-1 in order. Each row is prefix-
+// transformed there and only its first keepCols outputs (the only ones
+// the column stage reads) are kept, in dst with row stride keepCols; the
+// column stage then runs on that compact rows×keepCols buffer. On return
+// the first keepRows rows of dst hold the corner and the rest is garbage.
+//
+// Every value the corner depends on comes from exactly the expression the
+// full Forward2D runs, so the corner is bit-for-bit identical to
+// Forward2D's. Circulant-embedding samplers are the intended caller: the
+// padded torus is 4x the chip grid in each dimension, so the kept corner
+// is 1/16 of the transform and dst a quarter of the full matrix.
+func ForwardRegionRows(dst, row []complex128, rows, cols, keepRows, keepCols int, fill func(r int, row []complex128)) error {
+	if !IsPow2(rows) || !IsPow2(cols) {
+		return fmt.Errorf("fft: dimensions %dx%d are not powers of two", rows, cols)
+	}
+	if keepRows < 0 || keepRows > rows || keepCols < 0 || keepCols > cols {
+		return fmt.Errorf("fft: region %dx%d outside matrix %dx%d", keepRows, keepCols, rows, cols)
+	}
+	if len(dst) != rows*keepCols || len(row) != cols {
+		return fmt.Errorf("fft: buffers of %d and %d elements, want %d and %d", len(dst), len(row), rows*keepCols, cols)
+	}
+	for r := 0; r < rows; r++ {
+		fill(r, row)
+		if err := forwardPrefix(row, keepCols); err != nil {
+			return err
+		}
+		copy(dst[r*keepCols:(r+1)*keepCols], row)
+	}
+	return columns(dst, rows, keepCols, keepRows, func(col []complex128) error { return forwardPrefix(col, keepRows) })
 }
 
 // colScratch recycles the column-block buffer of the 2-D transforms so
@@ -296,44 +329,34 @@ const colBlock = 4
 
 // transform2D applies tf to every row, then to every column.
 func transform2D(x []complex128, rows, cols int, tf func([]complex128) error) error {
-	return transformRegion2D(x, rows, cols, rows, cols, tf)
-}
-
-// transformRegion2D applies the transform to every row, then to the first
-// keepCols columns, scattering back only the first keepRows entries of
-// each. Columns are gathered colBlock at a time into a contiguous buffer;
-// the per-column data and transform are exactly those of a one-column
-// gather, so results are bit-for-bit independent of the blocking, and
-// each column transform is independent of which other columns run at all.
-//
-// A nil tf selects the prefix-pruned forward transform: each row keeps
-// only its first keepCols outputs (the only ones the column stage and
-// final extraction read) and each column keeps only its first keepRows.
-func transformRegion2D(x []complex128, rows, cols, keepRows, keepCols int, tf func([]complex128) error) error {
 	if len(x) != rows*cols {
 		return fmt.Errorf("fft: matrix buffer has %d elements, want %d", len(x), rows*cols)
 	}
 	if !IsPow2(rows) || !IsPow2(cols) {
 		return fmt.Errorf("fft: dimensions %dx%d are not powers of two", rows, cols)
 	}
-	rowTF := tf
-	colTF := tf
-	if tf == nil {
-		rowTF = func(row []complex128) error { return forwardPrefix(row, keepCols) }
-		colTF = func(col []complex128) error { return forwardPrefix(col, keepRows) }
-	}
 	for r := 0; r < rows; r++ {
-		if err := rowTF(x[r*cols : (r+1)*cols]); err != nil {
+		if err := tf(x[r*cols : (r+1)*cols]); err != nil {
 			return err
 		}
 	}
+	return columns(x, rows, cols, rows, tf)
+}
+
+// columns applies tf to every column of the rows×cols matrix x, scattering
+// back only the first keepRows entries of each. Columns are gathered
+// colBlock at a time into a contiguous buffer; the per-column data and
+// transform are exactly those of a one-column gather, so results are
+// bit-for-bit independent of the blocking.
+func columns(x []complex128, rows, cols, keepRows int, tf func([]complex128) error) error {
 	sc := colScratch.Get().([]complex128)
 	if cap(sc) < colBlock*rows {
 		sc = make([]complex128, colBlock*rows)
 	}
 	sc = sc[:colBlock*rows]
-	for c0 := 0; c0 < keepCols; c0 += colBlock {
-		cb := min(colBlock, keepCols-c0)
+	defer colScratch.Put(sc)
+	for c0 := 0; c0 < cols; c0 += colBlock {
+		cb := min(colBlock, cols-c0)
 		for r := 0; r < rows; r++ {
 			base := r*cols + c0
 			for j := 0; j < cb; j++ {
@@ -341,8 +364,7 @@ func transformRegion2D(x []complex128, rows, cols, keepRows, keepCols int, tf fu
 			}
 		}
 		for j := 0; j < cb; j++ {
-			if err := colTF(sc[j*rows : (j+1)*rows]); err != nil {
-				colScratch.Put(sc)
+			if err := tf(sc[j*rows : (j+1)*rows]); err != nil {
 				return err
 			}
 		}
@@ -353,6 +375,5 @@ func transformRegion2D(x []complex128, rows, cols, keepRows, keepCols int, tf fu
 			}
 		}
 	}
-	colScratch.Put(sc)
 	return nil
 }

@@ -3,6 +3,7 @@ package grf
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,24 +107,77 @@ func TestSampleBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSamplePairConcurrent runs SamplePair on one sampler from four
+// goroutines, each with its own seeds, and checks every pair against the
+// same draws made serially. Under -race it also proves SamplePair touches
+// no mutable sampler state and that the shared transform buffers are
+// never handed to two calls at once.
+func TestSamplePairConcurrent(t *testing.T) {
+	s, err := NewCirculantSampler(circulantRefCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, draws = 4, 3
+	seed := func(w, i int) int64 { return int64(100*w + i) }
+	want := make([][2]*Field, workers*draws)
+	for w := 0; w < workers; w++ {
+		for i := 0; i < draws; i++ {
+			a, b, err := s.SamplePair(stats.NewRNG(seed(w, i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[w*draws+i] = [2]*Field{a, b}
+		}
+	}
+	got := make([][2]*Field, workers*draws)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < draws; i++ {
+				a, b, err := s.SamplePair(stats.NewRNG(seed(w, i)))
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[w*draws+i] = [2]*Field{a, b}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !fieldsBitIdentical(want[i][0], got[i][0]) || !fieldsBitIdentical(want[i][1], got[i][1]) {
+			t.Fatalf("worker %d draw %d differs from the serial draw", i/draws, i%draws)
+		}
+	}
+}
+
 // legacyFullPair replicates the pre-pruning SamplePair pipeline — same
-// noise expression, but a full Forward2D over the padded torus. It is the
-// cost model of die regeneration before the region-pruned transform: a
-// die then cost two of these (Vth and Leff pairs).
-func legacyFullPair(s *CirculantSampler, rng *stats.RNG) (*Field, *Field, error) {
+// noise expression, but a full Forward2D over the padded torus, in buf
+// (prows*pcols elements, allocated once by the caller so that only
+// transform cost is compared). It is the cost model of die regeneration
+// before the region-pruned transform: a die then cost two of these (Vth
+// and Leff pairs).
+func legacyFullPair(s *CirculantSampler, rng *stats.RNG, buf []complex128) (*Field, *Field, error) {
 	n := s.prows * s.pcols
 	norm := 1.0 / math.Sqrt(float64(n))
 	for i := 0; i < n; i++ {
-		s.scratch[i] = complex(rng.Norm()*s.sqrtLambda[i]*norm, rng.Norm()*s.sqrtLambda[i]*norm)
+		buf[i] = complex(rng.Norm()*s.sqrtLambda[i]*norm, rng.Norm()*s.sqrtLambda[i]*norm)
 	}
-	if err := fft.Forward2D(s.scratch, s.prows, s.pcols); err != nil {
+	if err := fft.Forward2D(buf, s.prows, s.pcols); err != nil {
 		return nil, nil, err
 	}
 	a := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, s.cfg.Rows*s.cfg.Cols)}
 	b := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, s.cfg.Rows*s.cfg.Cols)}
 	for r := 0; r < s.cfg.Rows; r++ {
 		for c := 0; c < s.cfg.Cols; c++ {
-			z := s.scratch[r*s.pcols+c]
+			z := buf[r*s.pcols+c]
 			a.Data[r*s.cfg.Cols+c] = real(z)
 			b.Data[r*s.cfg.Cols+c] = imag(z)
 		}
@@ -157,17 +211,18 @@ func TestSampleBatchSpeedupGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(42)
-	// Warm caches (spectrum, twiddles, pools) before measuring.
+	buf := make([]complex128, s.prows*s.pcols)
+	// Warm caches (spectrum, twiddles, buffers) before measuring.
 	if _, _, err := s.SamplePair(rng); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := legacyFullPair(s, rng); err != nil {
+	if _, _, err := legacyFullPair(s, rng, buf); err != nil {
 		t.Fatal(err)
 	}
 
 	// Deterministic half: butterfly outputs per die, legacy vs pruned.
 	p0 := fft.PointsTransformed()
-	if _, _, err := legacyFullPair(s, rng); err != nil {
+	if _, _, err := legacyFullPair(s, rng, buf); err != nil {
 		t.Fatal(err)
 	}
 	p1 := fft.PointsTransformed()
@@ -193,7 +248,7 @@ func TestSampleBatchSpeedupGate(t *testing.T) {
 	prunedField := time.Duration(math.MaxInt64)
 	for i := 0; i < rounds; i++ {
 		t0 := time.Now()
-		if _, _, err := legacyFullPair(s, rng); err != nil {
+		if _, _, err := legacyFullPair(s, rng, buf); err != nil {
 			t.Fatal(err)
 		}
 		if d := time.Since(t0); d < legacyPair {

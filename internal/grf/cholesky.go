@@ -12,12 +12,12 @@ import (
 // CholeskySampler draws exact samples by factoring the full dense
 // covariance matrix of the grid. It is O(n^3) in the number of grid cells
 // and exists as a correctness cross-check for the circulant sampler and as
-// the default for tiny grids.
+// the default for tiny grids. It holds only read-only state, so Sample is
+// safe for concurrent use.
 type CholeskySampler struct {
-	cfg  Config
-	n    int
-	low  []float64 // lower-triangular Cholesky factor, row-major
-	work []float64
+	cfg Config
+	n   int
+	low []float64 // lower-triangular Cholesky factor, row-major
 }
 
 var (
@@ -65,7 +65,7 @@ func choleskyFor(cfg Config, n int) ([]float64, error) {
 
 // NewCholeskySampler factors (or reuses the cached factor of) the
 // covariance matrix for cfg. The factor is shared across samplers and
-// read-only; only the white-noise work buffer is per-sampler state.
+// read-only.
 func NewCholeskySampler(cfg Config) (*CholeskySampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -78,23 +78,26 @@ func NewCholeskySampler(cfg Config) (*CholeskySampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CholeskySampler{cfg: cfg, n: n, low: low, work: make([]float64, n)}, nil
+	return &CholeskySampler{cfg: cfg, n: n, low: low}, nil
 }
 
 // Config returns the sampler's configuration.
 func (s *CholeskySampler) Config() Config { return s.cfg }
 
-// Sample draws one realisation of the field.
+// Sample draws one realisation of the field. The white-noise vector is
+// allocated per call: NewSampler picks this sampler only for grids of
+// 32x32 cells or fewer, where it is at most 8 KiB.
 func (s *CholeskySampler) Sample(rng *stats.RNG) (*Field, error) {
-	for i := range s.work {
-		s.work[i] = rng.Norm()
+	work := make([]float64, s.n)
+	for i := range work {
+		work[i] = rng.Norm()
 	}
 	f := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, s.n)}
 	for i := 0; i < s.n; i++ {
 		sum := 0.0
 		row := s.low[i*s.n : i*s.n+i+1]
 		for j, l := range row {
-			sum += l * s.work[j]
+			sum += l * work[j]
 		}
 		f.Data[i] = sum
 	}

@@ -13,14 +13,16 @@ import (
 // circulant embedding (Dietrich & Newsam). The covariance of the field on a
 // doubly-padded torus is diagonalised by the 2-D DFT; sampling is then one
 // FFT of suitably scaled complex white noise. Each FFT yields two
-// independent realisations (real and imaginary parts); the sampler caches
-// the spare one.
+// independent realisations (real and imaginary parts).
+//
+// SamplePair touches only read-only sampler state and is safe for
+// concurrent use. Sample caches the spare realisation of each transform
+// for its next call and is not.
 type CirculantSampler struct {
 	cfg          Config
-	prows, pcols int          // padded (embedding) grid dimensions
-	sqrtLambda   []float64    // sqrt of DFT eigenvalues; shared across samplers, read-only
-	spare        *Field       // second field from the previous FFT, if unused
-	scratch      []complex128 // reusable FFT buffer
+	prows, pcols int       // padded (embedding) grid dimensions
+	sqrtLambda   []float64 // sqrt of DFT eigenvalues; shared across samplers, read-only
+	spare        *Field    // second field from the previous FFT, if unused
 	// ClippedPower reports the fraction of spectral mass discarded when
 	// negative eigenvalues were clipped to zero. Zero means the embedding
 	// was exactly non-negative definite.
@@ -117,8 +119,8 @@ func buildSpectrum(cfg Config) (*spectrum, error) {
 // NewCirculantSampler builds (or reuses) the spectral decomposition for
 // cfg. The grid is padded to at least twice its size (rounded to powers of
 // two) so the torus wrap-around does not alias correlations back into the
-// chip. Only the scratch buffer and the spare-field cache are per-sampler
-// state; the decomposition itself is shared and read-only.
+// chip. Only Sample's spare-field cache is per-sampler state; the
+// decomposition itself is shared and read-only.
 func NewCirculantSampler(cfg Config) (*CirculantSampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -132,7 +134,6 @@ func NewCirculantSampler(cfg Config) (*CirculantSampler, error) {
 		prows:        sp.prows,
 		pcols:        sp.pcols,
 		sqrtLambda:   sp.sqrtLambda,
-		scratch:      make([]complex128, sp.prows*sp.pcols),
 		ClippedPower: sp.clippedPower,
 	}, nil
 }
@@ -140,7 +141,9 @@ func NewCirculantSampler(cfg Config) (*CirculantSampler, error) {
 // Config returns the sampler's configuration.
 func (s *CirculantSampler) Config() Config { return s.cfg }
 
-// Sample draws one realisation of the field.
+// Sample draws one realisation of the field. Calls alternate between
+// running a transform and returning its cached spare, so one sampler's
+// Sample calls must not run concurrently.
 func (s *CirculantSampler) Sample(rng *stats.RNG) (*Field, error) {
 	if s.spare != nil {
 		f := s.spare
@@ -160,39 +163,80 @@ func (s *CirculantSampler) Sample(rng *stats.RNG) (*Field, error) {
 // rely on. Callers that need random access into the conceptual sequence
 // of fields (e.g. die k of a batch for odd k, regenerated in isolation on
 // a cluster worker) use it to rebuild a transform pair from its seed
-// alone, in any order.
+// alone, in any order. It is safe for concurrent use.
 //
 // The noise draws and the butterfly arithmetic are exactly those of the
-// original full-transform pipeline; only the column transforms nobody
-// reads (the padded torus is 4x the chip in each dimension) are pruned,
-// which the region-transform contract guarantees cannot perturb a bit of
-// the kept corner.
+// original full-transform pipeline. The noise is drawn one padded row at
+// a time, in the original order, and streamed through
+// fft.ForwardRegionRows, so only the prows×Cols corner the column stage
+// reads is ever stored: a quarter of the padded torus. The column
+// transforms nobody reads are pruned, which the region-transform contract
+// guarantees cannot perturb a bit of the kept corner.
 func (s *CirculantSampler) SamplePair(rng *stats.RNG) (*Field, *Field, error) {
+	rows, cols := s.cfg.Rows, s.cfg.Cols
 	n := s.prows * s.pcols
 	norm := 1.0 / math.Sqrt(float64(n))
-	sc, sl := s.scratch, s.sqrtLambda
-	if len(sc) != n || len(sl) != n {
-		return nil, nil, fmt.Errorf("grf: scratch %d / spectrum %d for %d-point transform", len(sc), len(sl), n)
+	sl := s.sqrtLambda
+	if len(sl) != n {
+		return nil, nil, fmt.Errorf("grf: spectrum %d for %d-point transform", len(sl), n)
 	}
-	for i := range sc {
-		// Complex white noise scaled by sqrt(lambda)/sqrt(n): after an
-		// unnormalised forward FFT the real and imaginary parts are two
-		// independent fields with the target covariance.
-		sc[i] = complex(rng.Norm()*sl[i]*norm, rng.Norm()*sl[i]*norm)
-	}
-	if err := fft.ForwardRegion2D(sc, s.prows, s.pcols, s.cfg.Rows, s.cfg.Cols); err != nil {
+	buf := getBuffer(s.prows*cols + s.pcols)
+	defer putBuffer(buf)
+	dst, row := buf[:s.prows*cols], buf[s.prows*cols:]
+	err := fft.ForwardRegionRows(dst, row, s.prows, s.pcols, rows, cols, func(r int, row []complex128) {
+		for c, l := range sl[r*s.pcols : (r+1)*s.pcols] {
+			// Complex white noise scaled by sqrt(lambda)/sqrt(n): after an
+			// unnormalised forward FFT the real and imaginary parts are two
+			// independent fields with the target covariance.
+			row[c] = complex(rng.Norm()*l*norm, rng.Norm()*l*norm)
+		}
+	})
+	if err != nil {
 		return nil, nil, fmt.Errorf("grf: sampling transform: %w", err)
 	}
-	a := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, s.cfg.Rows*s.cfg.Cols)}
-	b := &Field{Rows: s.cfg.Rows, Cols: s.cfg.Cols, Data: make([]float64, s.cfg.Rows*s.cfg.Cols)}
-	for r := 0; r < s.cfg.Rows; r++ {
-		row := sc[r*s.pcols : r*s.pcols+s.cfg.Cols]
-		ar := a.Data[r*s.cfg.Cols : (r+1)*s.cfg.Cols]
-		br := b.Data[r*s.cfg.Cols : (r+1)*s.cfg.Cols]
-		for c, z := range row {
-			ar[c] = real(z)
-			br[c] = imag(z)
-		}
+	a := &Field{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	b := &Field{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	for i, z := range dst[:rows*cols] {
+		a.Data[i] = real(z)
+		b.Data[i] = imag(z)
 	}
 	return a, b, nil
+}
+
+// buffers is the free list of transform buffers that every sampler's
+// SamplePair draws from. It never holds more buffers than the most
+// SamplePair calls that have run at once. It is not a sync.Pool: a GC
+// cycle would empty a pool, and the next die would reallocate megabytes.
+var (
+	buffersMu sync.Mutex
+	buffers   [][]complex128
+)
+
+// getBuffer returns a buffer of n elements from the free list, or a new one
+// if no free buffer is large enough; in that case it also drops one free
+// buffer, so that the list never grows past the peak concurrency.
+func getBuffer(n int) []complex128 {
+	buffersMu.Lock()
+	defer buffersMu.Unlock()
+	last := len(buffers) - 1
+	for i, b := range buffers {
+		if cap(b) >= n {
+			buffers[i] = buffers[last]
+			buffers[last] = nil
+			buffers = buffers[:last]
+			return b[:n]
+		}
+	}
+	if last >= 0 {
+		buffers[last] = nil
+		buffers = buffers[:last]
+	}
+	return make([]complex128, n)
+}
+
+// putBuffer returns a buffer to the free list.
+func putBuffer(b []complex128) {
+	buffersMu.Lock()
+	buffers = append(buffers, b)
+	buffersMu.Unlock()
 }

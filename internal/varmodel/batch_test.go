@@ -2,6 +2,7 @@ package varmodel
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ func dieBitIdentical(a, b *DieMaps) bool {
 
 // dieWalk generates dies 0..n-1 in order on a fresh generator: the
 // reference every die-purity test compares against (each odd die is
-// served from its even sibling's transform by the pair cache).
+// served from its even sibling's transform by the pair table).
 func dieWalk(t *testing.T, cfg Config, batchSeed int64, n int) []*DieMaps {
 	t.Helper()
 	g, err := NewGenerator(cfg)
@@ -46,15 +47,16 @@ func dieWalk(t *testing.T, cfg Config, batchSeed int64, n int) []*DieMaps {
 
 // TestBatchMatchesDieByDie is the core of the die-purity wall: for every
 // batch parity, walking the batch in a shuffled order that breaks the
-// even/odd pair cadence (so the single-entry pair cache never helps and
-// every odd die is regenerated in isolation) must be byte-identical to
-// the in-order walk.
+// even/odd pair cadence must be byte-identical to the in-order walk. The
+// shuffled walk asks for every odd die first, so each pair is computed
+// for its odd die and its even die then comes from the pair table. A
+// second pass draws every die from a fresh Generator, so every die of
+// the batch is regenerated in isolation.
 func TestBatchMatchesDieByDie(t *testing.T) {
 	cfg := testConfig()
 	for _, n := range []int{0, 1, 2, 5, 8} {
 		want := dieWalk(t, cfg, 31, n)
-		// Shuffled access order: odd dies first, then evens in reverse —
-		// every fields() call takes the isolated-regeneration path.
+		// Shuffled access order: odd dies first, then evens in reverse.
 		gShuf, err := NewGenerator(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -76,6 +78,139 @@ func TestBatchMatchesDieByDie(t *testing.T) {
 			if !dieBitIdentical(want[i], d) {
 				t.Fatalf("n=%d: shuffled-order die %d differs from the in-order walk", n, i)
 			}
+			gFresh, err := NewGenerator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err = gFresh.Die(31, i); err != nil {
+				t.Fatal(err)
+			}
+			if !dieBitIdentical(want[i], d) {
+				t.Fatalf("n=%d: die %d from a fresh generator differs from the in-order walk", n, i)
+			}
+		}
+	}
+}
+
+// TestDiePairSplit releases the requesters of dies 2k and 2k+1 together,
+// for several pairs at once, as a farm of workers taking consecutive
+// indices does. Every die must equal the in-order walk, and each map must
+// be computed exactly once: whichever requester comes second finds the
+// pair's slot open and claims only the map the first left unclaimed (or
+// none, if the first has finished both).
+func TestDiePairSplit(t *testing.T) {
+	cfg := testConfig()
+	const pairs = 6
+	want := dieWalk(t, cfg, 5, 2*pairs)
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*DieMaps, 2*pairs)
+	errs := make([]error, 2*pairs)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = g.Die(5, i)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !dieBitIdentical(want[i], got[i]) {
+			t.Fatalf("die %d differs from the in-order walk", i)
+		}
+	}
+	if got := g.SampleCount(); got != 2*pairs {
+		t.Fatalf("SampleCount = %d for %d pairs, want %d", got, pairs, 2*pairs)
+	}
+	g.mu.Lock()
+	open := len(g.table)
+	g.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("%d pair slots still open after both dies of every pair were handed out", open)
+	}
+}
+
+// TestDiePairTableBounded asks for only the even dies of three times as
+// many pairs as the table holds, so every new pair evicts the oldest open
+// one. The table must never exceed its bound, and the odd dies asked for
+// afterwards (newest first) must still equal the in-order walk: the last
+// pairTableSize pairs serve theirs from the table, the evicted ones are
+// recomputed.
+func TestDiePairTableBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.GridRows, cfg.GridCols = 40, 40 // still circulant, on a 128x128 torus: cheap under -race
+	const pairs = 3 * pairTableSize
+	want := dieWalk(t, cfg, 9, 2*pairs)
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(i int) {
+		t.Helper()
+		d, err := g.Die(9, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dieBitIdentical(want[i], d) {
+			t.Fatalf("die %d differs from the in-order walk", i)
+		}
+		g.mu.Lock()
+		open := len(g.table)
+		g.mu.Unlock()
+		if open > pairTableSize {
+			t.Fatalf("after die %d the pair table holds %d slots, bound %d", i, open, pairTableSize)
+		}
+	}
+	for i := 0; i < 2*pairs; i += 2 {
+		check(i)
+	}
+	for i := 2*pairs - 1; i > 0; i -= 2 {
+		check(i)
+	}
+	if got, want := g.SampleCount(), int64(2*pairs+2*(pairs-pairTableSize)); got != want {
+		t.Fatalf("SampleCount = %d, want %d (evicted pairs recomputed, open ones served)", got, want)
+	}
+}
+
+// TestDieIndexRange pins the valid die indices: die seeds are
+// batchSeed*1_000_003 + index, so an index outside [0, 1_000_003) would
+// share its seed with a die of a neighbouring batch (Die(1, -1) and
+// Die(0, 1_000_002) would both be seed 1_000_002).
+func TestDieIndexRange(t *testing.T) {
+	g, err := NewGenerator(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		batchSeed int64
+		index     int
+		seed      int64 // 0: the index must be rejected
+	}{
+		{1, -1, 0},
+		{1, 0, 1_000_003},
+		{0, 1_000_002, 1_000_002},
+		{0, 1_000_003, 0},
+	} {
+		d, err := g.Die(c.batchSeed, c.index)
+		if c.seed == 0 {
+			if err == nil || !strings.Contains(err.Error(), "[0, 1000003)") {
+				t.Errorf("Die(%d, %d): error %v, want one naming [0, 1000003)", c.batchSeed, c.index, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Die(%d, %d): %v", c.batchSeed, c.index, err)
+		} else if d.Seed != c.seed {
+			t.Errorf("Die(%d, %d).Seed = %d, want %d", c.batchSeed, c.index, d.Seed, c.seed)
 		}
 	}
 }
@@ -83,8 +218,8 @@ func TestBatchMatchesDieByDie(t *testing.T) {
 // TestDieConcurrentSafe hammers one Generator from many goroutines (an
 // in-order walk racing rotated walks over overlapping indices) and checks
 // every result against a serially generated reference. Under -race this
-// also proves the single-entry pair cache and the samplers' shared
-// scratch are properly serialised.
+// also proves the pair table's claims and hand-outs are properly
+// synchronised and that concurrent sampling shares no mutable state.
 func TestDieConcurrentSafe(t *testing.T) {
 	cfg := testConfig()
 	const n = 6
@@ -123,7 +258,7 @@ func TestDieConcurrentSafe(t *testing.T) {
 
 // TestSampleCountAccounting pins the sampler-invocation counter the cache
 // layer audits: an in-order n-die walk costs exactly two invocations per
-// transform pair (Vth + Leff), and a pair-cache hit costs zero.
+// transform pair (Vth + Leff), and a pair-table hit costs zero.
 func TestSampleCountAccounting(t *testing.T) {
 	cfg := testConfig()
 	g, err := NewGenerator(cfg)
@@ -147,11 +282,34 @@ func TestSampleCountAccounting(t *testing.T) {
 	if got := g.SampleCount(); got != 10 {
 		t.Fatalf("after Die(0) SampleCount = %d, want 10", got)
 	}
-	if _, err := g.Die(3, 1); err != nil { // pair-cache hit
+	if _, err := g.Die(3, 1); err != nil { // pair-table hit
 		t.Fatal(err)
 	}
 	if got := g.SampleCount(); got != 10 {
-		t.Fatalf("pair-cache hit changed SampleCount to %d", got)
+		t.Fatalf("pair-table hit changed SampleCount to %d", got)
+	}
+	// Die 2 twice while its pair is open: the repeat computes a private
+	// pair, so the two results share no field, and die 3 still comes from
+	// the table.
+	d2, err := g.Die(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := g.Die(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.SampleCount(); got != 14 {
+		t.Fatalf("repeated Die(2) SampleCount = %d, want 14", got)
+	}
+	if again.VthSys == d2.VthSys || again.LeffSys == d2.LeffSys || !dieBitIdentical(d2, again) {
+		t.Fatal("a repeated die must be an equal copy sharing no field")
+	}
+	if _, err := g.Die(3, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.SampleCount(); got != 14 {
+		t.Fatalf("Die(3) after a repeated Die(2) changed SampleCount to %d", got)
 	}
 }
 

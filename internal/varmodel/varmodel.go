@@ -11,6 +11,7 @@ package varmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -130,37 +131,63 @@ func (d *DieMaps) LeffMeanOverRect(x0, y0, x1, y1 float64) float64 {
 // one Config. It owns the (expensive) spectral decompositions, so
 // generating 200 dies costs 200 FFTs, not 200 factorizations.
 //
-// A Generator is safe for concurrent use: Die serialises on an
-// internal mutex, which protects both the single-entry pair cache and the
-// samplers' shared scratch/spare state. Callers that want parallel die
-// generation should shard indices across per-worker Generators (die
-// identity is a pure function of (batchSeed, index), so the split is
-// free) rather than hammering one instance.
+// A Generator is safe for concurrent use, and sharing one across workers
+// is the intended use: sampling runs outside its lock, and concurrent
+// requests for the two dies of one transform pair split the pair's work
+// between them (see Die).
 type Generator struct {
-	cfg         Config
-	vthSampler  grf.Sampler
-	leffSampler grf.Sampler
+	cfg Config
+	// samplers draws the Vth (index 0) and Leff (index 1) maps; pairs holds
+	// the same samplers when they are circulant, and nils otherwise. Both
+	// are read-only, so sampling needs no lock.
+	samplers [2]grf.Sampler
+	pairs    [2]*grf.CirculantSampler
 
-	// mu guards pair and the samplers (their FFT scratch buffers and
-	// spare-field caches are per-sampler mutable state).
-	mu sync.Mutex
-	// pair holds the unconsumed halves of the last transform pair, so an
-	// in-order batch walk (die 2k, then 2k+1) still costs one FFT per die
-	// per parameter even though Die is addressable in any order.
-	pair *diePair
-	// samples counts underlying sampler invocations (one per map drawn
-	// from a transform, i.e. two per computed pair). The die cache's
-	// "warm run regenerates nothing" tests assert on its deltas.
+	// mu guards table, which holds the transform pairs being computed or
+	// waiting for their second die, oldest first. No sampling runs under
+	// mu.
+	mu    sync.Mutex
+	table []*pairSlot
+	// samples counts maps drawn through the field samplers. The die
+	// cache's "warm run regenerates nothing" tests assert on its deltas.
 	samples atomic.Int64
 }
 
-// diePair caches the second fields of the transform pair computed for an
-// even die, keyed by the (batchSeed, base) that seeded it.
-type diePair struct {
+// pairTableSize bounds the pair table. At paper scale a slot waiting for
+// its second die holds one 1 MiB half; evicting a slot only costs the
+// recomputation of a pair.
+const pairTableSize = 16
+
+// mapNames labels the two maps of a die, in claim order.
+var mapNames = [2]string{"Vth", "Leff"}
+
+// pairSlot is one transform pair: dies base and base+1 of a batch. Its
+// fields are guarded by Generator.mu.
+type pairSlot struct {
 	batchSeed int64
 	base      int
-	vthB      *grf.Field
-	leffB     *grf.Field
+	// rng holds each map's stream until a requester claims the map.
+	rng [2]*stats.RNG
+	// fields[h][m] is map m of die base+h, nil once handed out.
+	fields [2][2]*grf.Field
+	// asked marks the halves requested so far, out counts those handed out.
+	asked [2]bool
+	out   int
+	err   error
+	// done counts down once per computed map.
+	done sync.WaitGroup
+}
+
+// newPairSlot derives the pair's two map streams. They are derived here,
+// in order, because Derive draws from its parent: the Leff stream exists
+// only after Derive(1).
+func newPairSlot(batchSeed int64, base int) *pairSlot {
+	rng := stats.NewRNG(dieSeed(batchSeed, base))
+	s := &pairSlot{batchSeed: batchSeed, base: base}
+	s.rng[0] = rng.Derive(1)
+	s.rng[1] = rng.Derive(2)
+	s.done.Add(len(s.rng))
+	return s
 }
 
 // NewGenerator validates cfg and prepares the field samplers.
@@ -170,103 +197,159 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 	_, vthSys, _ := cfg.SigmaVth()
 	_, leffSys, _ := cfg.SigmaLeff()
-	vs, err := grf.NewSampler(grf.Config{
-		Rows: cfg.GridRows, Cols: cfg.GridCols, Phi: cfg.Phi, Sigma: vthSys,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("varmodel: Vth sampler: %w", err)
+	g := &Generator{cfg: cfg}
+	for m, sigma := range [2]float64{vthSys, leffSys} {
+		s, err := grf.NewSampler(grf.Config{
+			Rows: cfg.GridRows, Cols: cfg.GridCols, Phi: cfg.Phi, Sigma: sigma,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("varmodel: %s sampler: %w", mapNames[m], err)
+		}
+		g.samplers[m] = s
+		g.pairs[m], _ = s.(*grf.CirculantSampler)
 	}
-	ls, err := grf.NewSampler(grf.Config{
-		Rows: cfg.GridRows, Cols: cfg.GridCols, Phi: cfg.Phi, Sigma: leffSys,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("varmodel: Leff sampler: %w", err)
-	}
-	return &Generator{cfg: cfg, vthSampler: vs, leffSampler: ls}, nil
+	return g, nil
 }
 
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// SampleCount returns the cumulative number of sampler invocations (maps
-// drawn through the underlying field samplers) this generator has
-// performed. A cache layer that claims to have avoided regeneration can
-// be audited by diffing this counter around the supposedly-warm run.
+// SampleCount returns the cumulative number of maps this generator has
+// drawn through its field samplers. A cache layer that claims to have
+// avoided regeneration can be audited by diffing this counter around the
+// supposedly-warm run.
 func (g *Generator) SampleCount() int64 { return g.samples.Load() }
 
-// Die generates the die with the given index. The maps are a pure
-// function of (batchSeed, index): die k's fields do not depend on which
-// dies were generated before it, in what order, or on which process — the
-// property that makes a die batch shardable across cluster workers and a
-// parallel local build bit-identical to a serial one.
+// maxDies is the number of dies in a batch: Die accepts indices in
+// [0, maxDies). It is also the die-seed multiplier, so within that range
+// distinct (batchSeed, index) pairs get distinct die seeds.
+const maxDies = 1_000_003
+
+// dieSeed is die index's seed within its batch.
+func dieSeed(batchSeed int64, index int) int64 {
+	return batchSeed*maxDies + int64(index)
+}
+
+// Die generates the die with the given index, which must lie in
+// [0, 1_000_003). The maps are a pure function of (batchSeed, index): die
+// k's fields do not depend on which dies were generated before it, in
+// what order, or on which process — the property that makes a die batch
+// shardable across cluster workers and a parallel local build
+// bit-identical to a serial one.
 //
 // Circulant sampling yields two independent fields per transform, so the
 // canonical sequence pairs dies: die 2k takes the real part and die 2k+1
-// the imaginary part of the transform seeded by die 2k. Addressing an odd
-// die in isolation recomputes its pair's transform from that seed.
+// the imaginary part of the transforms seeded by die 2k, one per map.
+// The first request for either die opens the pair in a small table; each
+// requester then computes the maps nobody has claimed yet, Vth first,
+// and waits for both. A lone caller thus computes both maps, two
+// concurrent callers of dies 2k and 2k+1 compute one each, and die 2k+1
+// asked for after die 2k comes from the table. A die asked for a second
+// time while its pair is still open gets a freshly computed pair, so no
+// two results share a field.
 func (g *Generator) Die(batchSeed int64, index int) (*DieMaps, error) {
-	g.mu.Lock()
-	vth, leff, err := g.fields(batchSeed, index)
-	g.mu.Unlock()
+	if index < 0 || index >= maxDies {
+		return nil, fmt.Errorf("varmodel: die index %d outside [0, %d)", index, maxDies)
+	}
+	var maps [2]*grf.Field
+	var err error
+	if g.pairs[0] != nil && g.pairs[1] != nil {
+		maps, err = g.pairHalf(batchSeed, index)
+	} else {
+		maps, err = g.single(batchSeed, index)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return g.dieMaps(batchSeed, index, vth, leff), nil
-}
-
-// dieMaps wraps one die's freshly sampled fields in their DieMaps.
-func (g *Generator) dieMaps(batchSeed int64, index int, vth, leff *grf.Field) *DieMaps {
 	_, _, vthRan := g.cfg.SigmaVth()
 	_, _, leffRan := g.cfg.SigmaLeff()
 	return &DieMaps{
 		Cfg:          g.cfg,
-		VthSys:       vth,
-		LeffSys:      leff,
+		VthSys:       maps[0],
+		LeffSys:      maps[1],
 		VthSigmaRan:  vthRan,
 		LeffSigmaRan: leffRan,
-		Seed:         batchSeed*1_000_003 + int64(index),
-	}
+		Seed:         dieSeed(batchSeed, index),
+	}, nil
 }
 
-// fields samples the systematic Vth and Leff maps for one die. Callers
-// hold g.mu.
-func (g *Generator) fields(batchSeed int64, index int) (*grf.Field, *grf.Field, error) {
-	vcs, vok := g.vthSampler.(*grf.CirculantSampler)
-	lcs, lok := g.leffSampler.(*grf.CirculantSampler)
-	if !vok || !lok {
-		// Dense samplers draw one field per call from the die's own
-		// stream; they are order-independent as they stand.
-		rng := stats.NewRNG(batchSeed*1_000_003 + int64(index))
-		g.samples.Add(2)
-		vth, err := g.vthSampler.Sample(rng.Derive(1))
+// single samples one die's maps with dense samplers, which draw one field
+// per call from the die's own stream.
+func (g *Generator) single(batchSeed int64, index int) ([2]*grf.Field, error) {
+	var maps [2]*grf.Field
+	rng := stats.NewRNG(dieSeed(batchSeed, index))
+	for m, s := range g.samplers {
+		g.samples.Add(1)
+		f, err := s.Sample(rng.Derive(int64(m + 1)))
 		if err != nil {
-			return nil, nil, fmt.Errorf("varmodel: sampling Vth map: %w", err)
+			return maps, fmt.Errorf("varmodel: sampling %s map: %w", mapNames[m], err)
 		}
-		leff, err := g.leffSampler.Sample(rng.Derive(2))
-		if err != nil {
-			return nil, nil, fmt.Errorf("varmodel: sampling Leff map: %w", err)
+		maps[m] = f
+	}
+	return maps, nil
+}
+
+// pairHalf returns die index's maps from its transform pair's slot,
+// opening the slot if needed and computing the maps nobody has claimed.
+func (g *Generator) pairHalf(batchSeed int64, index int) ([2]*grf.Field, error) {
+	base, h := index&^1, index&1
+	g.mu.Lock()
+	s := g.find(batchSeed, base)
+	switch {
+	case s == nil:
+		s = newPairSlot(batchSeed, base)
+		g.table = append(g.table, s)
+		if len(g.table) > pairTableSize {
+			g.table = slices.Delete(g.table, 0, 1)
 		}
-		return vth, leff, nil
+	case s.asked[h]:
+		// A second request for this half: a private pair the table never
+		// sees, so the two results share no field.
+		s = newPairSlot(batchSeed, base)
 	}
-	base := index &^ 1
-	if p := g.pair; p != nil && index&1 == 1 && p.batchSeed == batchSeed && p.base == base {
-		g.pair = nil
-		return p.vthB, p.leffB, nil
+	s.asked[h] = true
+	for m := range s.rng {
+		rng := s.rng[m]
+		if rng == nil {
+			continue
+		}
+		s.rng[m] = nil
+		g.mu.Unlock()
+		g.samples.Add(1)
+		a, b, err := g.pairs[m].SamplePair(rng)
+		g.mu.Lock()
+		s.fields[0][m], s.fields[1][m] = a, b
+		if err != nil && s.err == nil {
+			s.err = fmt.Errorf("varmodel: sampling %s map: %w", mapNames[m], err)
+		}
+		s.done.Done()
 	}
-	rng := stats.NewRNG(batchSeed*1_000_003 + int64(base))
-	g.samples.Add(2)
-	vthA, vthB, err := vcs.SamplePair(rng.Derive(1))
-	if err != nil {
-		return nil, nil, fmt.Errorf("varmodel: sampling Vth map: %w", err)
+	g.mu.Unlock()
+	s.done.Wait()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	maps := s.fields[h]
+	s.fields[h] = [2]*grf.Field{}
+	if s.out++; s.out == 2 || s.err != nil {
+		g.remove(s)
 	}
-	leffA, leffB, err := lcs.SamplePair(rng.Derive(2))
-	if err != nil {
-		return nil, nil, fmt.Errorf("varmodel: sampling Leff map: %w", err)
+	return maps, s.err
+}
+
+// find returns the open slot of the pair at base, or nil. Callers hold
+// g.mu.
+func (g *Generator) find(batchSeed int64, base int) *pairSlot {
+	for _, s := range g.table {
+		if s.batchSeed == batchSeed && s.base == base {
+			return s
+		}
 	}
-	if index&1 == 0 {
-		g.pair = &diePair{batchSeed: batchSeed, base: base, vthB: vthB, leffB: leffB}
-		return vthA, leffA, nil
+	return nil
+}
+
+// remove drops s from the table if it is still there. Callers hold g.mu.
+func (g *Generator) remove(s *pairSlot) {
+	if i := slices.Index(g.table, s); i >= 0 {
+		g.table = slices.Delete(g.table, i, i+1)
 	}
-	g.pair = nil
-	return vthB, leffB, nil
 }

@@ -226,7 +226,7 @@ func TestDieOrderIndependence(t *testing.T) {
 		}
 	}
 	// A different batch seed interleaved mid-batch must not perturb the
-	// pair cache into serving a stale sibling.
+	// pair table into serving a stale sibling.
 	g3, err := NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,8 @@ type Options struct {
 	// GridSize is the variation-map resolution per dimension.
 	GridSize int
 	// DieIndex selects which die of the statistical batch to build;
-	// different indices are independent manufacturing outcomes.
+	// different indices are independent manufacturing outcomes. It must
+	// lie in [0, 1_000_003).
 	DieIndex int
 	// Seed drives all randomness (die generation and runtime decisions).
 	Seed int64
