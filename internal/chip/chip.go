@@ -45,6 +45,8 @@ type Chip struct {
 	// nominal static share, indexed like FP.Blocks.
 	blockVthEff []float64
 	blockRefW   []float64
+	// numL2 is the number of L2 banks, which share the L2 dynamic power.
+	numL2 int
 	// steppers caches transient thermal factorisations by step length;
 	// stepMu makes the cache safe when one characterised die is shared by
 	// concurrent timeline simulations (the farm engine's die cache hands
@@ -102,6 +104,7 @@ func Build(maps *varmodel.DieMaps, fp *floorplan.Floorplan, dcfg delay.Config, p
 	for bi, b := range fp.Blocks {
 		c.blockVthEff[bi], c.blockRefW[bi] = pm.BlockVthEff(maps, fp, b)
 	}
+	c.numL2 = len(fp.L2Blocks())
 	rng := stats.NewRNG(maps.Seed).Derive(101)
 	c.Paths = make([]*delay.CorePaths, fp.NumCores)
 	c.VFTable = make([][]delay.VF, fp.NumCores)
@@ -263,7 +266,9 @@ func (c *Chip) assembleDynamicInto(dyn, coreDyn, coreIPC []float64, states []Cor
 	}
 
 	// Distribute core dynamic power over units and L2 dynamic over banks.
-	for bi, b := range c.FP.Blocks {
+	blocks := c.FP.Blocks
+	for bi := range blocks {
+		b := &blocks[bi]
 		if b.Kind == floorplan.UnitL2 {
 			continue
 		}
@@ -278,10 +283,9 @@ func (c *Chip) assembleDynamicInto(dyn, coreDyn, coreIPC []float64, states []Cor
 		dyn[bi] = coreDyn[b.Core] * dynSplit[b.Kind][idx]
 	}
 	l2DynTotal := c.Power.L2DynamicW(l2Accesses)
-	l2Blocks := c.FP.L2Blocks()
-	for bi, b := range c.FP.Blocks {
-		if b.Kind == floorplan.UnitL2 {
-			dyn[bi] = l2DynTotal / float64(len(l2Blocks))
+	for bi := range blocks {
+		if blocks[bi].Kind == floorplan.UnitL2 {
+			dyn[bi] = l2DynTotal / float64(c.numL2)
 		}
 	}
 	return nil
@@ -293,7 +297,9 @@ func (c *Chip) assembleDynamicInto(dyn, coreDyn, coreIPC []float64, states []Cor
 // slice is reused across calls of the closure.
 func (c *Chip) leakageFn(leak []float64, states []CoreState) func(temps []float64) []float64 {
 	return func(temps []float64) []float64 {
-		for bi, b := range c.FP.Blocks {
+		blocks := c.FP.Blocks
+		for bi := range blocks {
+			b := &blocks[bi]
 			switch {
 			case b.Kind == floorplan.UnitL2:
 				leak[bi] = c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi],
@@ -422,7 +428,9 @@ func (c *Chip) buildResultInto(res *EvalResult, states []CoreState, dyn, leak, t
 	res.TotalW, res.DynW, res.StaticW, res.L2PowerW = 0, 0, 0, 0
 	res.ThermalIters = iters
 	clear(res.CorePowerW)
-	for bi, b := range c.FP.Blocks {
+	blocks := c.FP.Blocks
+	for bi := range blocks {
+		b := &blocks[bi]
 		p := dyn[bi] + leak[bi]
 		res.TotalW += p
 		res.DynW += dyn[bi]
@@ -443,8 +451,9 @@ func (c *Chip) buildResultInto(res *EvalResult, states []CoreState, dyn, leak, t
 // power.Model.CoreStaticW.
 func (c *Chip) CoreStaticCached(core int, v, tempC float64) float64 {
 	sum := 0.0
-	for bi, b := range c.FP.Blocks {
-		if b.Core == core {
+	blocks := c.FP.Blocks
+	for bi := range blocks {
+		if blocks[bi].Core == core {
 			sum += c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi], c.Maps.VthSigmaRan, v, tempC)
 		}
 	}

@@ -23,7 +23,7 @@ var (
 
 // testChip builds one characterised die (cached across tests — building is
 // the expensive part and the die is immutable).
-func testChip(t *testing.T) (*Chip, *cpusim.Model) {
+func testChip(t testing.TB) (*Chip, *cpusim.Model) {
 	t.Helper()
 	testChipOnce.Do(func() {
 		cfg := varmodel.DefaultConfig()
@@ -350,10 +350,16 @@ func TestEvaluateTransientIntoDoesNotAllocate(t *testing.T) {
 		}
 		copy(prev, out.BlockTempC)
 	})
-	// The engine's tick loop rides this path; a handful of allocations per
-	// call (scratch pool churn) is tolerable, per-block or per-grid-cell
-	// allocation is not.
-	if allocs > 8 {
+	// The engine's tick loop rides this path once per simulated tick, so
+	// it must not allocate. Under the race detector sync.Pool drops a
+	// random quarter of its Puts and the pooled scratch is rebuilt (ten
+	// allocations) after each drop; there the test keeps its former bound
+	// of 8 per call.
+	limit := 0.0
+	if raceEnabled {
+		limit = 8
+	}
+	if allocs > limit {
 		t.Fatalf("EvaluateTransientInto allocates %v objects per call", allocs)
 	}
 }

@@ -7,10 +7,32 @@ import (
 	"testing/quick"
 )
 
+// solveOnce factors a and solves A x = b.
+func solveOnce(a []float64, n int, b []float64) ([]float64, error) {
+	f, err := Factor(a, n)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b)
+}
+
+// matVec returns A x for an n x n row-major matrix.
+func matVec(a []float64, n int, x []float64) []float64 {
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for j, v := range a[i*n : (i+1)*n] {
+			s += v * x[j]
+		}
+		y[i] = s
+	}
+	return y
+}
+
 func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10 -> x = 1, y = 3.
 	a := []float64{2, 1, 1, 3}
-	x, err := SolveDense(a, 2, []float64{5, 10})
+	x, err := solveOnce(a, 2, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +48,7 @@ func TestSolveIdentity(t *testing.T) {
 		a[i*n+i] = 1
 	}
 	b := []float64{1, 2, 3, 4, 5}
-	x, err := SolveDense(a, n, b)
+	x, err := solveOnce(a, n, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +61,7 @@ func TestSolveIdentity(t *testing.T) {
 
 func TestSingularDetected(t *testing.T) {
 	a := []float64{1, 2, 2, 4} // rank 1
-	if _, err := SolveDense(a, 2, []float64{1, 2}); err == nil {
+	if _, err := solveOnce(a, 2, []float64{1, 2}); err == nil {
 		t.Fatal("singular matrix not detected")
 	}
 }
@@ -47,7 +69,7 @@ func TestSingularDetected(t *testing.T) {
 func TestPivotingHandlesZeroDiagonal(t *testing.T) {
 	// Leading zero requires a row swap.
 	a := []float64{0, 1, 1, 0}
-	x, err := SolveDense(a, 2, []float64{3, 7})
+	x, err := solveOnce(a, 2, []float64{3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +89,7 @@ func TestFactorReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y := MatVec(a, 2, x)
+		y := matVec(a, 2, x)
 		for i := range b {
 			if math.Abs(y[i]-b[i]) > 1e-10 {
 				t.Fatalf("residual for b=%v: %v", b, y)
@@ -86,6 +108,14 @@ func TestDimensionErrors(t *testing.T) {
 	}
 	if _, err := f.Solve([]float64{1}); err == nil {
 		t.Fatal("bad rhs size accepted")
+	}
+	if err := f.SolveInto(make([]float64, 3), []float64{1, 2}); err == nil {
+		t.Fatal("bad solution buffer size accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Factor([]float64{1, 0, bad, 1}, 2); err == nil {
+			t.Fatalf("matrix entry %v accepted", bad)
+		}
 	}
 }
 
@@ -122,11 +152,11 @@ func TestSolveResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64() * 10
 		}
-		x, err := SolveDense(a, n, b)
+		x, err := solveOnce(a, n, b)
 		if err != nil {
 			return false
 		}
-		y := MatVec(a, n, x)
+		y := matVec(a, n, x)
 		for i := range b {
 			if math.Abs(y[i]-b[i]) > 1e-8*(1+math.Abs(b[i])) {
 				return false
@@ -155,7 +185,7 @@ func BenchmarkFactorSolve128(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveDense(a, n, rhs); err != nil {
+		if _, err := solveOnce(a, n, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}

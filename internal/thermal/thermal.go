@@ -48,34 +48,63 @@ func DefaultConfig() Config {
 
 // Model is the assembled RC network for one floorplan.
 type Model struct {
-	cfg    Config
-	fp     *floorplan.Floorplan
-	n      int
-	lu     *linsolve.LU
-	gVert  []float64 // per-block vertical conductance, W/K
-	blocks []floorplan.Block
+	cfg   Config
+	fp    *floorplan.Floorplan
+	n     int
+	lu    *linsolve.LU
+	gVert []float64 // per-block vertical conductance, W/K
+	// coreBlocks lists each core's blocks in floorplan order, with their
+	// areas, for CoreMeanTemp.
+	coreBlocks [][]blockArea
+}
+
+type blockArea struct {
+	block int
+	area  float64
 }
 
 // New builds the conductance matrix for fp and factors it once; Solve then
 // costs one pair of triangular substitutions per call.
 func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
-	if cfg.VerticalConductance <= 0 || cfg.LateralConductance < 0 {
+	if !(cfg.VerticalConductance > 0) || math.IsInf(cfg.VerticalConductance, 1) ||
+		!(cfg.LateralConductance >= 0) || math.IsInf(cfg.LateralConductance, 1) {
 		return nil, fmt.Errorf("thermal: invalid conductances %+v", cfg)
 	}
 	n := len(fp.Blocks)
 	if n == 0 {
 		return nil, errors.New("thermal: empty floorplan")
 	}
+	g, gVert := conductance(fp, cfg, make([]float64, n))
+	lu, err := linsolve.Factor(g, n)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: factoring conductance matrix: %w", err)
+	}
+	coreBlocks := make([][]blockArea, fp.NumCores)
+	for i := range fp.Blocks {
+		if b := &fp.Blocks[i]; b.Core >= 0 {
+			coreBlocks[b.Core] = append(coreBlocks[b.Core], blockArea{i, b.R.Area()})
+		}
+	}
+	return &Model{cfg: cfg, fp: fp, n: n, lu: lu, gVert: gVert, coreBlocks: coreBlocks}, nil
+}
+
+// conductance assembles the network's n x n conductance matrix for fp,
+// adding diagAdd[i] to block i's vertical conductance on the diagonal:
+// zeros for the steady state, C/dt for a backward-Euler step. It also
+// returns the per-block vertical conductances.
+func conductance(fp *floorplan.Floorplan, cfg Config, diagAdd []float64) (g, gVert []float64) {
+	n := len(fp.Blocks)
 	edge := fp.DieEdgeMM()
-	g := make([]float64, n*n)
-	gVert := make([]float64, n)
-	for i, bi := range fp.Blocks {
+	g = make([]float64, n*n)
+	gVert = make([]float64, n)
+	for i := range fp.Blocks {
+		bi := &fp.Blocks[i]
 		areaMM2 := bi.R.Area() * edge * edge
 		gv := cfg.VerticalConductance * areaMM2
 		gVert[i] = gv
-		g[i*n+i] += gv
+		g[i*n+i] += gv + diagAdd[i]
 		for j := i + 1; j < n; j++ {
-			bj := fp.Blocks[j]
+			bj := &fp.Blocks[j]
 			shared := bi.R.SharedEdge(bj.R)
 			if shared <= 0 {
 				continue
@@ -93,11 +122,7 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 			g[j*n+i] -= gl
 		}
 	}
-	lu, err := linsolve.Factor(g, n)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: factoring conductance matrix: %w", err)
-	}
-	return &Model{cfg: cfg, fp: fp, n: n, lu: lu, gVert: gVert, blocks: fp.Blocks}, nil
+	return g, gVert
 }
 
 // Config returns the model's calibration.
@@ -227,16 +252,16 @@ func (m *Model) AmbientTemps(dst []float64) []float64 {
 }
 
 // CoreMeanTemp returns the area-weighted mean temperature of core c's
-// blocks given a block temperature vector.
+// blocks given a block temperature vector. A core with no blocks reads
+// ambient.
 func (m *Model) CoreMeanTemp(tempsC []float64, core int) float64 {
+	if core < 0 || core >= len(m.coreBlocks) {
+		return m.cfg.AmbientC
+	}
 	var sum, area float64
-	for i, b := range m.blocks {
-		if b.Core != core {
-			continue
-		}
-		a := b.R.Area()
-		sum += tempsC[i] * a
-		area += a
+	for _, b := range m.coreBlocks[core] {
+		sum += tempsC[b.block] * b.area
+		area += b.area
 	}
 	if area == 0 {
 		return m.cfg.AmbientC
@@ -284,34 +309,13 @@ func (m *Model) NewTransient(dtMS float64) (*Transient, error) {
 	}
 	dt := dtMS / 1000
 	edge := m.fp.DieEdgeMM()
-	n := m.n
-	// Rebuild G and add C/dt on the diagonal.
-	g := make([]float64, n*n)
-	cOver := make([]float64, n)
-	for i, bi := range m.blocks {
-		areaMM2 := bi.R.Area() * edge * edge
+	cOver := make([]float64, m.n)
+	for i := range m.fp.Blocks {
+		areaMM2 := m.fp.Blocks[i].R.Area() * edge * edge
 		cOver[i] = HeatCapacityPerMM2 * areaMM2 / dt
-		g[i*n+i] += m.cfg.VerticalConductance*areaMM2 + cOver[i]
-		for j := i + 1; j < n; j++ {
-			bj := m.blocks[j]
-			shared := bi.R.SharedEdge(bj.R)
-			if shared <= 0 {
-				continue
-			}
-			cxi, cyi := (bi.R.X0+bi.R.X1)/2, (bi.R.Y0+bi.R.Y1)/2
-			cxj, cyj := (bj.R.X0+bj.R.X1)/2, (bj.R.Y0+bj.R.Y1)/2
-			distMM := math.Hypot(cxi-cxj, cyi-cyj) * edge
-			if distMM <= 0 {
-				continue
-			}
-			gl := m.cfg.LateralConductance * (shared * edge) / distMM
-			g[i*n+i] += gl
-			g[j*n+j] += gl
-			g[i*n+j] -= gl
-			g[j*n+i] -= gl
-		}
 	}
-	lu, err := linsolve.Factor(g, n)
+	g, _ := conductance(m.fp, m.cfg, cOver)
+	lu, err := linsolve.Factor(g, m.n)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 	}

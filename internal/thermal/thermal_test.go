@@ -191,6 +191,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(floorplan.New20CoreCMP(), cfg); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.VerticalConductance = bad
+		if _, err := New(floorplan.New20CoreCMP(), cfg); err == nil {
+			t.Fatalf("vertical conductance %v accepted", bad)
+		}
+		cfg = DefaultConfig()
+		cfg.LateralConductance = bad
+		if _, err := New(floorplan.New20CoreCMP(), cfg); err == nil {
+			t.Fatalf("lateral conductance %v accepted", bad)
+		}
+	}
 }
 
 func TestMaxTempClamp(t *testing.T) {
