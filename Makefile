@@ -55,7 +55,7 @@ benchtest:
 # ci is the full gate: vet, build, race-enabled tests (includes the
 # golden-file experiment test), the benchmark module's tests, the
 # coverage gate, the fuzz targets (lp, anneal, shard codec, WAL record,
-# config hash, LU solve) run for 10s each, and a benchmark pass of the
+# config hash, LU solve, RNG stream) run for 10s each, and a benchmark pass of the
 # hot-path micro-benchmarks compared against the newest committed
 # BENCH_*.json — more than 20% ns/op regression fails. Benchmark
 # baselines are machine-specific: refresh with `make benchsnap` when the
@@ -71,13 +71,15 @@ fuzzseed:
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 10s ./internal/jobstore
 	$(GO) test -fuzz FuzzConfigHash -fuzztime 10s ./internal/diecache
 	$(GO) test -fuzz FuzzLUSolve -fuzztime 10s ./internal/linsolve
+	$(GO) test -fuzz FuzzRNGStream -fuzztime 10s ./internal/stats
 
 # cover prints per-package statement coverage and fails if any of the
 # gated packages (the concurrency- and protocol-heavy ones, the die
-# generation path that workers share, and the chip evaluation with the
-# thermal kernel every evaluation rides) drops below 80%. Numbers are
+# generation path that workers share, the chip evaluation with the
+# thermal kernel every evaluation rides, and the random stream and the
+# annealer every golden depends on) drops below 80%. Numbers are
 # recorded in EXPERIMENTS.md ("Coverage gate").
-COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip
+COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip vasched/internal/stats vasched/internal/anneal
 
 # The timeline engine carries a higher bar: core's tick loop integrates
 # four subsystems (thermal, power, scheduling, wearout) plus the optional
@@ -112,7 +114,7 @@ goldens-check: goldens
 # artefacts) against the committed baseline without writing a snapshot.
 benchcheck:
 	$(GO) run ./cmd/benchstatus -check -nowrite \
-		-pkgs ./internal/grf,./internal/thermal,./internal/linsolve,./internal/chip,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core
+		-pkgs ./internal/stats,./internal/grf,./internal/thermal,./internal/linsolve,./internal/chip,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core
 
 # benchsnap records a fresh full-suite snapshot (BENCH_<date>.json).
 benchsnap:

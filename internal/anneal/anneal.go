@@ -78,6 +78,7 @@ type Result struct {
 // calls.
 type Scratch struct {
 	cur, cand, best []int
+	steps           []float64 // one proposal's normal draws
 }
 
 // grow resizes the scratch vectors to n coordinates, reusing capacity.
@@ -86,10 +87,12 @@ func (s *Scratch) grow(n int) {
 		s.cur = make([]int, n)
 		s.cand = make([]int, n)
 		s.best = make([]int, n)
+		s.steps = make([]float64, n)
 	}
 	s.cur = s.cur[:n]
 	s.cand = s.cand[:n]
 	s.best = s.best[:n]
+	s.steps = s.steps[:n]
 }
 
 // Solve runs simulated annealing on p. It is a convenience wrapper around
@@ -151,7 +154,8 @@ func SolveScratch(p *Problem, cfg Config, rng *stats.RNG, scr *Scratch) (Result,
 	}
 
 	scr.grow(n)
-	cur, cand, best := scr.cur, scr.cand, scr.best
+	cur, cand, best, steps := scr.cur, scr.cand, scr.best, scr.steps
+	card := p.Card[:n]
 	copy(cur, p.Init)
 	curVal := initVal
 	copy(best, cur)
@@ -167,26 +171,20 @@ func SolveScratch(p *Problem, cfg Config, rng *stats.RNG, scr *Scratch) (Result,
 		if scale < 0.6 {
 			scale = 0.6
 		}
-		copy(cand, cur)
-		moved := false
-		for i := 0; i < n; i++ {
-			step := int(math.Round(rng.Norm() * scale))
-			if step == 0 {
-				continue
-			}
-			v := cand[i] + step
-			if v < 0 {
-				v = 0
-			}
-			if v >= p.Card[i] {
-				v = p.Card[i] - 1
-			}
-			if v != cand[i] {
-				cand[i] = v
-				moved = true
-			}
+		// One draw per coordinate, in coordinate order, then a step with
+		// no branch on the drawn values: they are random, so a branch on
+		// them is mispredicted often. A zero step, or a clamp back onto
+		// the coordinate, leaves it unchanged; moved collects the changed
+		// bits.
+		rng.NormFill(steps)
+		moved := 0
+		for i, z := range steps {
+			c := cur[i]
+			v := min(max(c+roundInt(z*scale), 0), card[i]-1)
+			cand[i] = v
+			moved |= v ^ c
 		}
-		if !moved {
+		if moved == 0 {
 			// Force a single-coordinate move so the chain cannot stall.
 			i := rng.Intn(n)
 			if cand[i]+1 < p.Card[i] && (cand[i] == 0 || rng.Float64() < 0.5) {
@@ -247,6 +245,23 @@ func SolveParallel(prob func(chain int) *Problem, cfg Config, rng *stats.RNG, ch
 	}
 	best.Evals = evals
 	return best, nil
+}
+
+// roundInt returns int(math.Round(x)) for every x, NaN and ±Inf
+// included, with no branch on x: Trunc is one instruction, x - t is
+// exact (NaN for NaN and ±Inf, so those keep int(t)), and rounding half
+// away from zero moves the truncation by one when |x - t| >= 0.5.
+func roundInt(x float64) int {
+	t := math.Trunc(x)
+	d := x - t
+	r := int(t)
+	if d >= 0.5 {
+		r++
+	}
+	if d <= -0.5 {
+		r--
+	}
+	return r
 }
 
 // accept implements the Metropolis criterion for maximisation.

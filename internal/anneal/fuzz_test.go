@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"math/rand"
 	"testing"
 
 	"vasched/internal/stats"
@@ -61,8 +62,9 @@ func fuzzProblem(data []byte) (*Problem, Config, int64, int) {
 // FuzzSolve checks the annealer's contract on arbitrary decoded problems:
 // it must terminate without error inside the evaluation budget, return an
 // in-bounds feasible state at least as good as the feasible starting
-// point, and the combined-Eval path must reproduce the split
-// Feasible+Objective path exactly (same RNG stream consumption).
+// point, reproduce the reference solver (refSolve) bit for bit, and the
+// combined-Eval path must reproduce the split Feasible+Objective path
+// exactly (same RNG stream consumption).
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 4, 0, 7})                         // 1 coordinate, tiny budget
 	f.Add([]byte{1, 10, 2, 8, 3, 8, 3, 5})                  // 2 coordinates, slack 5
@@ -75,10 +77,17 @@ func FuzzSolve(f *testing.F) {
 		if p == nil {
 			return
 		}
-		res, err := Solve(p, cfg, stats.NewRNG(seed))
+		r := stats.NewRNG(seed)
+		res, err := Solve(p, cfg, r)
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
+		ref := rand.New(rand.NewSource(seed))
+		want, err := refSolve(p, cfg, ref)
+		if err != nil {
+			t.Fatalf("refSolve: %v", err)
+		}
+		sameResult(t, "Solve", *res, want, r, ref)
 		if len(res.X) != len(p.Card) {
 			t.Fatalf("X has %d coordinates, want %d", len(res.X), len(p.Card))
 		}

@@ -38,3 +38,7 @@ func benchmarkRun(b *testing.B, mode Mode, manager pm.Manager) {
 func BenchmarkRunNUniFreq(b *testing.B) { benchmarkRun(b, ModeNUniFreq, nil) }
 
 func BenchmarkRunDVFSLinOpt(b *testing.B) { benchmarkRun(b, ModeDVFS, pm.NewLinOpt()) }
+
+// BenchmarkRunDVFSSAnn is the same timeline under SAnn at its default
+// 20,000 evaluations per decision, through the session each Run sets up.
+func BenchmarkRunDVFSSAnn(b *testing.B) { benchmarkRun(b, ModeDVFS, pm.NewSAnn()) }

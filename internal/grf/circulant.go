@@ -183,12 +183,16 @@ func (s *CirculantSampler) SamplePair(rng *stats.RNG) (*Field, *Field, error) {
 	buf := getBuffer(s.prows*cols + s.pcols)
 	defer putBuffer(buf)
 	dst, row := buf[:s.prows*cols], buf[s.prows*cols:]
+	z := make([]float64, 2*s.pcols)
 	err := fft.ForwardRegionRows(dst, row, s.prows, s.pcols, rows, cols, func(r int, row []complex128) {
+		// The row's normals in draw order: real then imaginary part of
+		// each point.
+		rng.NormFill(z)
 		for c, l := range sl[r*s.pcols : (r+1)*s.pcols] {
 			// Complex white noise scaled by sqrt(lambda)/sqrt(n): after an
 			// unnormalised forward FFT the real and imaginary parts are two
 			// independent fields with the target covariance.
-			row[c] = complex(rng.Norm()*l*norm, rng.Norm()*l*norm)
+			row[c] = complex(z[2*c]*l*norm, z[2*c+1]*l*norm)
 		}
 	})
 	if err != nil {

@@ -68,10 +68,12 @@ func (s *sannSession) Decide(ctx context.Context, snap *Snapshot, b Budget, rng 
 }
 
 // sannKernel is the reusable per-session state: the objective
-// coefficients, each core's lowest feasible level, the x<->level
-// translation buffers, and the annealer's scratch vectors.
+// coefficients and the term table built from them, each core's lowest
+// feasible level, the x<->level translation buffers, and the annealer's
+// scratch vectors.
 type sannKernel struct {
 	coef     []float64
+	terms    []float64
 	initCoef []float64
 	card     []int
 	mins     []int
@@ -90,6 +92,7 @@ func (m SAnn) decide(ctx context.Context, snap *Snapshot, b Budget, rng *stats.R
 	defer sp.End()
 	n := snap.Cores
 	k.coef = snap.ObjCoef(m.Objective, k.coef)
+	k.terms = sannTerms(snap, k.coef, k.terms)
 	k.card = growInts(k.card, n)
 	k.initX = growInts(k.initX, n)
 	k.levels = growInts(k.levels, n)
@@ -101,7 +104,7 @@ func (m SAnn) decide(ctx context.Context, snap *Snapshot, b Budget, rng *stats.R
 	// once (the historical closures decoded twice, once in feasible and
 	// again in objective), then check the budget and score from the
 	// snapshot tables.
-	eval := sannEval(snap, b, mins, k.levels, m.Objective, k.coef)
+	eval := sannEval(snap, b, mins, k.levels, m.Objective, k.terms)
 
 	// The greedy start ranks upgrades with Objective.weight semantics
 	// (min-speed keeps weight 1 there), while the evaluator's ObjCoef
@@ -143,7 +146,7 @@ func (m SAnn) decide(ctx context.Context, snap *Snapshot, b Budget, rng *stats.R
 			// coefficients, bounds, and init are shared read-only.
 			return &anneal.Problem{
 				Card: k.card,
-				Eval: sannEval(snap, b, mins, make([]int, n), m.Objective, k.coef),
+				Eval: sannEval(snap, b, mins, make([]int, n), m.Objective, k.terms),
 				Init: initX,
 			}
 		}, cfg, rng, m.Chains, m.Workers)
@@ -168,14 +171,31 @@ func (m SAnn) decide(ctx context.Context, snap *Snapshot, b Budget, rng *stats.R
 	return out, nil
 }
 
+// sannTerms returns the decision's term table, terms[c*Levels+l] =
+// coef[c]*Freq[c*Levels+l]/1e6: core c's objective term at level l. It
+// is the expression the evaluator computed per candidate, evaluated once
+// per decision, so every term has the same bits. dst is reused when
+// large enough.
+func sannTerms(snap *Snapshot, coef, dst []float64) []float64 {
+	nl := snap.Levels
+	dst = growFloats(dst, snap.Cores*nl)
+	for c := 0; c < snap.Cores; c++ {
+		for l := 0; l < nl; l++ {
+			dst[c*nl+l] = coef[c] * snap.Freq[c*nl+l] / 1e6
+		}
+	}
+	return dst
+}
+
 // sannEval returns the fused candidate evaluator: decode x into levels,
-// accumulate chip power with inline per-core cap checks, then score. The
-// power sum runs uncore-first over ascending cores and the objective sum
-// over ascending cores, exactly like the separate totalPower and
-// objectiveValue loops, so values are bit-identical; the cap check moving
-// before the budget comparison only changes which constraint reports an
-// infeasibility that would have been reported either way.
-func sannEval(snap *Snapshot, b Budget, mins, levels []int, obj Objective, coef []float64) func(x []int) (float64, bool) {
+// accumulate chip power with inline per-core cap checks, then score from
+// the term table (sannTerms). The power sum runs uncore-first over
+// ascending cores and the objective sum over ascending cores, exactly
+// like the separate totalPower and objectiveValue loops, so values are
+// bit-identical; the cap check moving before the budget comparison only
+// changes which constraint reports an infeasibility that would have been
+// reported either way.
+func sannEval(snap *Snapshot, b Budget, mins, levels []int, obj Objective, terms []float64) func(x []int) (float64, bool) {
 	nl := snap.Levels
 	minSpeed := obj == ObjMinSpeed
 	return func(x []int) (float64, bool) {
@@ -195,7 +215,7 @@ func sannEval(snap *Snapshot, b Budget, mins, levels []int, obj Objective, coef 
 		if minSpeed {
 			min := 0.0
 			for c, l := range levels {
-				v := coef[c] * snap.Freq[c*nl+l] / 1e6
+				v := terms[c*nl+l]
 				if c == 0 || v < min {
 					min = v
 				}
@@ -204,7 +224,7 @@ func sannEval(snap *Snapshot, b Budget, mins, levels []int, obj Objective, coef 
 		}
 		val := 0.0
 		for c, l := range levels {
-			val += coef[c] * snap.Freq[c*nl+l] / 1e6
+			val += terms[c*nl+l]
 		}
 		return val, true
 	}

@@ -336,9 +336,9 @@ func TestGreedyInitPrefersFreeUpgrades(t *testing.T) {
 	}
 }
 
-// TestAnnealInnerLoopZeroAlloc asserts the tentpole's allocation claim:
-// with a session-held scratch and the fused snapshot evaluator, a full
-// annealing solve allocates nothing.
+// TestAnnealInnerLoopZeroAlloc asserts the allocation claim: with a
+// session-held scratch and the fused snapshot evaluator scoring from the
+// term table, a full annealing solve allocates nothing.
 func TestAnnealInnerLoopZeroAlloc(t *testing.T) {
 	snap := newFake(12).snapshot()
 	b := Budget{PTargetW: 40, PCoreMaxW: 6}
@@ -353,7 +353,7 @@ func TestAnnealInnerLoopZeroAlloc(t *testing.T) {
 	}
 	prob := &anneal.Problem{
 		Card: card,
-		Eval: sannEval(snap, b, mins, make([]int, snap.Cores), ObjMIPS, coef),
+		Eval: sannEval(snap, b, mins, make([]int, snap.Cores), ObjMIPS, sannTerms(snap, coef, nil)),
 		Init: make([]int, snap.Cores),
 	}
 	cfg := anneal.DefaultConfig(snap.Cores)
@@ -370,6 +370,76 @@ func TestAnnealInnerLoopZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("annealing solve allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// legacySannEval is sannEval as it stood before the term table: it
+// computes coef[c]*Freq/1e6 for every core of every candidate.
+func legacySannEval(snap *Snapshot, b Budget, mins, levels []int, obj Objective, coef []float64) func(x []int) (float64, bool) {
+	nl := snap.Levels
+	minSpeed := obj == ObjMinSpeed
+	return func(x []int) (float64, bool) {
+		sum := snap.Uncore
+		for c, xc := range x {
+			l := mins[c] + xc
+			levels[c] = l
+			pw := snap.Power[c*nl+l]
+			if pw > b.PCoreMaxW {
+				return 0, false
+			}
+			sum += pw
+		}
+		if sum > b.PTargetW {
+			return 0, false
+		}
+		if minSpeed {
+			min := 0.0
+			for c, l := range levels {
+				v := coef[c] * snap.Freq[c*nl+l] / 1e6
+				if c == 0 || v < min {
+					min = v
+				}
+			}
+			return min, true
+		}
+		val := 0.0
+		for c, l := range levels {
+			val += coef[c] * snap.Freq[c*nl+l] / 1e6
+		}
+		return val, true
+	}
+}
+
+// TestSannTermsMatchInlineScore: scoring from the term table gives the
+// bits and the feasibility the per-candidate expression gave, for every
+// objective, on random candidates over a snapshot whose frequencies are
+// not round numbers.
+func TestSannTermsMatchInlineScore(t *testing.T) {
+	snap := newFake(12).snapshot()
+	for i := range snap.Freq {
+		snap.Freq[i] *= 1 + float64(i%7)/3
+	}
+	b := Budget{PTargetW: 45, PCoreMaxW: 6}
+	mins, err := floorLevels(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(11)
+	x := make([]int, snap.Cores)
+	for _, obj := range []Objective{ObjMIPS, ObjWeighted, ObjMinSpeed} {
+		coef := snap.ObjCoef(obj, nil)
+		got := sannEval(snap, b, mins, make([]int, snap.Cores), obj, sannTerms(snap, coef, nil))
+		want := legacySannEval(snap, b, mins, make([]int, snap.Cores), obj, coef)
+		for k := 0; k < 2000; k++ {
+			for c := range x {
+				x[c] = rng.Intn(snap.Levels - mins[c])
+			}
+			gv, gok := got(x)
+			wv, wok := want(x)
+			if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
+				t.Fatalf("objective %d, x %v: term table gives (%v, %v), inline (%v, %v)", obj, x, gv, gok, wv, wok)
+			}
+		}
 	}
 }
 

@@ -10,57 +10,8 @@ package stats
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 )
-
-// RNG is a deterministic random stream. It wraps math/rand so the rest of
-// the repository depends on one seam and tests can substitute fixtures.
-type RNG struct {
-	src *rand.Rand
-}
-
-// NewRNG returns a stream seeded with seed.
-func NewRNG(seed int64) *RNG {
-	return &RNG{src: rand.New(rand.NewSource(seed))}
-}
-
-// Derive returns a child stream whose seed is a deterministic function of
-// the parent seed and the label. Batches of dies, per-trial workloads, and
-// per-core noise all derive their streams this way so that adding one
-// consumer does not perturb another.
-func (r *RNG) Derive(label int64) *RNG {
-	// SplitMix64-style mixing of the label with a draw from the parent.
-	z := uint64(r.src.Int63()) ^ (uint64(label) * 0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return NewRNG(int64(z))
-}
-
-// Float64 returns a uniform sample in [0,1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
-
-// Intn returns a uniform sample in [0,n).
-func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
-
-// Int63 returns a non-negative uniform 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
-
-// Norm returns a standard normal sample.
-func (r *RNG) Norm() float64 { return r.src.NormFloat64() }
-
-// NormMuSigma returns a normal sample with the given mean and standard
-// deviation.
-func (r *RNG) NormMuSigma(mu, sigma float64) float64 {
-	return mu + sigma*r.src.NormFloat64()
-}
-
-// Perm returns a random permutation of [0,n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle permutes the first n indices using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
 func Mean(xs []float64) float64 {

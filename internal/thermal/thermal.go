@@ -70,6 +70,9 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		!(cfg.LateralConductance >= 0) || math.IsInf(cfg.LateralConductance, 1) {
 		return nil, fmt.Errorf("thermal: invalid conductances %+v", cfg)
 	}
+	if math.IsNaN(cfg.AmbientC) || math.IsInf(cfg.AmbientC, 0) || !(cfg.MaxTempC > cfg.AmbientC) {
+		return nil, fmt.Errorf("thermal: need a finite ambient below the clamp, got ambient %v °C, clamp %v °C", cfg.AmbientC, cfg.MaxTempC)
+	}
 	n := len(fp.Blocks)
 	if n == 0 {
 		return nil, errors.New("thermal: empty floorplan")

@@ -202,6 +202,24 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(floorplan.New20CoreCMP(), cfg); err == nil {
 			t.Fatalf("lateral conductance %v accepted", bad)
 		}
+		cfg = DefaultConfig()
+		cfg.AmbientC = bad
+		if _, err := New(floorplan.New20CoreCMP(), cfg); err == nil {
+			t.Fatalf("ambient %v accepted", bad)
+		}
+	}
+	// The clamp must sit above ambient; NaN would silently disable it.
+	for _, bad := range []float64{math.NaN(), math.Inf(-1), -10, 44, 45} {
+		cfg := DefaultConfig()
+		cfg.MaxTempC = bad
+		if _, err := New(floorplan.New20CoreCMP(), cfg); err == nil {
+			t.Fatalf("clamp %v at ambient %v accepted", bad, cfg.AmbientC)
+		}
+	}
+	cfg = DefaultConfig()
+	cfg.MaxTempC = math.Inf(1) // no clamp at all is a valid choice
+	if _, err := New(floorplan.New20CoreCMP(), cfg); err != nil {
+		t.Fatalf("infinite clamp rejected: %v", err)
 	}
 }
 
