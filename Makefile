@@ -76,10 +76,11 @@ fuzzseed:
 # cover prints per-package statement coverage and fails if any of the
 # gated packages (the concurrency- and protocol-heavy ones, the die
 # generation path that workers share, the chip evaluation with the
-# thermal kernel every evaluation rides, and the random stream and the
+# thermal kernel every evaluation rides, the device laws, floorplan and
+# power model every chip is built from, and the random stream and the
 # annealer every golden depends on) drops below 80%. Numbers are
 # recorded in EXPERIMENTS.md ("Coverage gate").
-COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip vasched/internal/stats vasched/internal/anneal
+COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip vasched/internal/stats vasched/internal/anneal vasched/internal/tech vasched/internal/floorplan vasched/internal/power
 
 # The timeline engine carries a higher bar: core's tick loop integrates
 # four subsystems (thermal, power, scheduling, wearout) plus the optional
@@ -114,7 +115,7 @@ goldens-check: goldens
 # artefacts) against the committed baseline without writing a snapshot.
 benchcheck:
 	$(GO) run ./cmd/benchstatus -check -nowrite \
-		-pkgs ./internal/stats,./internal/grf,./internal/thermal,./internal/linsolve,./internal/chip,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core
+		-pkgs ./internal/stats,./internal/grf,./internal/thermal,./internal/linsolve,./internal/chip,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core,./internal/dynamic,./internal/tech,./internal/delay,./internal/floorplan
 
 # benchsnap records a fresh full-suite snapshot (BENCH_<date>.json).
 benchsnap:

@@ -90,7 +90,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchstatus", flag.ContinueOnError)
 	var (
-		pkgs      = fs.String("pkgs", "./internal/stats,./internal/grf,./internal/thermal,./internal/linsolve,./internal/chip,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core,.", "comma-separated packages to benchmark")
+		pkgs      = fs.String("pkgs", "./internal/stats,./internal/grf,./internal/thermal,./internal/linsolve,./internal/chip,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core,./internal/dynamic,./internal/tech,./internal/delay,./internal/floorplan,.", "comma-separated packages to benchmark")
 		bench     = fs.String("bench", ".", "benchmark regex passed to go test -bench")
 		benchtime = fs.String("benchtime", "0.3s", "value passed to go test -benchtime")
 		out       = fs.String("out", "", "output snapshot path (default BENCH_<date>.json in the repo root)")

@@ -202,3 +202,15 @@ func TestRunDynamicBadHorizon(t *testing.T) {
 		t.Fatal("malformed -horizon accepted")
 	}
 }
+
+// TestRunDynamicNonFiniteDuration pins that a NaN or infinite -duration is
+// an error, not an all-zero report or a run that never ends.
+func TestRunDynamicNonFiniteDuration(t *testing.T) {
+	for _, d := range []string{"NaN", "+Inf"} {
+		var buf strings.Builder
+		err := run([]string{"-dynamic", "-threads", "2", "-duration", d}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "duration") {
+			t.Errorf("-duration %s: error %v, output %q", d, err, buf.String())
+		}
+	}
+}

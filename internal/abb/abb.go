@@ -151,20 +151,9 @@ func Apply(maps *varmodel.DieMaps, fp *floorplan.Floorplan, bias Assignment, cfg
 	field.Data = append([]float64(nil), maps.VthSys.Data...)
 	clone.VthSys = &field
 
-	rows, cols := field.Rows, field.Cols
-	for r := 0; r < rows; r++ {
-		y := (float64(r) + 0.5) / float64(rows)
-		for c := 0; c < cols; c++ {
-			x := (float64(c) + 0.5) / float64(cols)
-			bi := fp.BlockAt(x, y)
-			if bi < 0 {
-				continue
-			}
-			core := fp.Blocks[bi].Core
-			if core < 0 {
-				continue // L2 is unbiased
-			}
-			field.Data[r*cols+c] -= cfg.VthPerBiasV * bias[core]
+	for i, core := range fp.CellCores(field.Rows, field.Cols) {
+		if core >= 0 { // L2 is unbiased
+			field.Data[i] -= cfg.VthPerBiasV * bias[core]
 		}
 	}
 	return &clone, nil

@@ -3,8 +3,38 @@ package chip
 import (
 	"testing"
 
+	"vasched/internal/delay"
+	"vasched/internal/floorplan"
+	"vasched/internal/power"
+	"vasched/internal/thermal"
+	"vasched/internal/varmodel"
 	"vasched/internal/workload"
 )
+
+// BenchmarkBuild characterises one paper-scale die (256x256 maps, 20
+// cores): the per-block leakage cache, every core's critical paths, V/f
+// table and static-power profile, and the thermal model. The die's maps
+// are generated outside the timer.
+func BenchmarkBuild(b *testing.B) {
+	cfg := varmodel.DefaultConfig()
+	g, err := varmodel.NewGenerator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	maps, err := g.Die(1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp := floorplan.New20CoreCMP()
+	pm := power.DefaultModel(cfg.Tech)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(maps, fp, delay.DefaultConfig(), pm, thermal.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkEvaluateDieSweep is die-sweep's evaluation kernel on one die:
 // every SPEC application alone on every core at nominal supply and rated
@@ -28,8 +58,9 @@ func BenchmarkEvaluateDieSweep(b *testing.B) {
 }
 
 // BenchmarkEvaluateTransient is one transient tick of a fully loaded die at
-// 0.9 V: the per-tick chip cost of a transient timeline such as
-// dynamic-horizon's.
+// 0.9 V that re-assembles its dynamic power: the per-tick chip cost of a
+// transient timeline such as dynamic-horizon's when an operating point
+// or phase changed.
 func BenchmarkEvaluateTransient(b *testing.B) {
 	c, cpu := testChip(b)
 	apps := workload.SPEC()
@@ -37,18 +68,19 @@ func BenchmarkEvaluateTransient(b *testing.B) {
 	for core := range st {
 		st[core] = CoreState{App: apps[core%len(apps)], V: 0.9, F: c.FmaxAt(core, 0.9)}
 	}
-	prev := c.Therm.AmbientTemps(nil)
-	var out EvalResult
-	// The first call sizes out and factors the 1 ms stepper.
-	if err := c.EvaluateTransientInto(&out, st, cpu, prev, 1); err != nil {
+	ts := c.NewTransientState()
+	// The first step factors the 1 ms stepper.
+	if _, err := ts.Step(st, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.EvaluateTransientInto(&out, st, cpu, prev, 1); err != nil {
+		if err := ts.Assemble(st, cpu); err != nil {
 			b.Fatal(err)
 		}
-		copy(prev, out.BlockTempC)
+		if _, err := ts.Step(st, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

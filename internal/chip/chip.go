@@ -42,9 +42,11 @@ type Chip struct {
 	Levels []float64
 
 	// Per-block leakage cache (constant per die): effective mean Vth and
-	// nominal static share, indexed like FP.Blocks.
+	// nominal static share, indexed like FP.Blocks, and the power model's
+	// leakage law.
 	blockVthEff []float64
 	blockRefW   []float64
+	leakLaw     tech.LeakageLaw
 	// numL2 is the number of L2 banks, which share the L2 dynamic power.
 	numL2 int
 	// steppers caches transient thermal factorisations by step length;
@@ -62,8 +64,8 @@ type Chip struct {
 
 // evalScratch is one evaluation's worth of reusable buffers.
 type evalScratch struct {
-	dyn, coreDyn, total, rhs, leak []float64
-	fps                            *thermal.FixedPointScratch
+	dyn, coreDyn, leak []float64
+	fps                *thermal.FixedPointScratch
 }
 
 func (c *Chip) getScratch() *evalScratch {
@@ -74,8 +76,6 @@ func (c *Chip) getScratch() *evalScratch {
 	return &evalScratch{
 		dyn:     make([]float64, nb),
 		coreDyn: make([]float64, c.NumCores()),
-		total:   make([]float64, nb),
-		rhs:     make([]float64, nb),
 		leak:    make([]float64, nb),
 		fps:     c.Therm.NewFixedPointScratch(),
 	}
@@ -101,6 +101,7 @@ func Build(maps *varmodel.DieMaps, fp *floorplan.Floorplan, dcfg delay.Config, p
 	c.steppers = make(map[float64]*thermal.Transient)
 	c.blockVthEff = make([]float64, len(fp.Blocks))
 	c.blockRefW = make([]float64, len(fp.Blocks))
+	c.leakLaw = pm.Tech.Leakage()
 	for bi, b := range fp.Blocks {
 		c.blockVthEff[bi], c.blockRefW[bi] = pm.BlockVthEff(maps, fp, b)
 	}
@@ -188,8 +189,9 @@ type CoreState struct {
 }
 
 // dynamic power distribution across core units: fractions of the core's
-// dynamic power dissipated in each block, for integer and FP codes.
-var dynSplit = map[floorplan.UnitKind][2]float64{
+// dynamic power dissipated in each block, for integer and FP codes,
+// indexed by unit kind (L2 banks share the L2 dynamic power instead).
+var dynSplit = [...][2]float64{
 	floorplan.UnitFrontend: {0.20, 0.18},
 	floorplan.UnitIntExec:  {0.30, 0.17},
 	floorplan.UnitFPExec:   {0.10, 0.25},
@@ -291,28 +293,32 @@ func (c *Chip) assembleDynamicInto(dyn, coreDyn, coreIPC []float64, states []Cor
 	return nil
 }
 
-// leakageFn returns the per-block leakage closure for the given states:
-// active core blocks leak at the core's supply; L2 leaks at nominal;
-// powered-off cores are gated (no leakage). The caller-provided leak
-// slice is reused across calls of the closure.
-func (c *Chip) leakageFn(leak []float64, states []CoreState) func(temps []float64) []float64 {
-	return func(temps []float64) []float64 {
-		blocks := c.FP.Blocks
-		for bi := range blocks {
-			b := &blocks[bi]
-			switch {
-			case b.Kind == floorplan.UnitL2:
-				leak[bi] = c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi],
-					c.Maps.VthSigmaRan, c.Tech.VddNominal, temps[bi])
-			case states[b.Core].App != nil:
-				leak[bi] = c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi],
-					c.Maps.VthSigmaRan, states[b.Core].V, temps[bi])
-			default:
+// blockStatic returns block bi's static power at supply v and temperature
+// tempC from the per-die cache, given the random-variation uplift at
+// tempC. It matches power.Model.BlockStaticW up to rounding.
+func (c *Chip) blockStatic(bi int, v, tempC, uplift float64) float64 {
+	return c.blockRefW[bi] * c.leakLaw.Factor(c.blockVthEff[bi], v, tempC) * uplift
+}
+
+// leakInto writes the per-block leakage for the given states at block
+// temperatures temps into leak: active core blocks leak at the core's
+// supply; L2 leaks at nominal; powered-off cores are gated (no leakage).
+func (c *Chip) leakInto(leak []float64, states []CoreState, temps []float64) []float64 {
+	sigma := c.Maps.VthSigmaRan
+	blocks := c.FP.Blocks
+	for bi := range blocks {
+		b := &blocks[bi]
+		v := c.Tech.VddNominal
+		if b.Kind != floorplan.UnitL2 {
+			if states[b.Core].App == nil {
 				leak[bi] = 0
+				continue
 			}
+			v = states[b.Core].V
 		}
-		return leak
+		leak[bi] = c.blockStatic(bi, v, temps[bi], c.leakLaw.RandomUplift(sigma, temps[bi]))
 	}
+	return leak
 }
 
 // Evaluate computes the chip's steady-state power and temperature for the
@@ -325,7 +331,8 @@ func (c *Chip) Evaluate(states []CoreState, cpu *cpusim.Model) (*EvalResult, err
 	if err != nil {
 		return nil, err
 	}
-	temps, leak, iters, err := c.Therm.FixedPointWith(sc.fps, sc.dyn, c.leakageFn(sc.leak, states), 0.01, 60)
+	leakage := func(temps []float64) []float64 { return c.leakInto(sc.leak, states, temps) }
+	temps, leak, iters, err := c.Therm.FixedPointWith(sc.fps, sc.dyn, leakage, 0.01, 60)
 	if err != nil {
 		return nil, err
 	}
@@ -335,54 +342,75 @@ func (c *Chip) Evaluate(states []CoreState, cpu *cpusim.Model) (*EvalResult, err
 	return c.buildResult(states, sc.dyn, leak, tout, coreIPC, iters), nil
 }
 
-// EvaluateTransientInto advances the chip's thermal state by dtMS from
-// prevBlockTemps under the given core states, writing into a caller-owned
-// result: leakage is evaluated at the previous temperatures (explicit) and
-// conduction integrated implicitly. Unlike Evaluate, temperatures carry
-// inertia across calls — the model activity-migration policies need. A nil
-// prevBlockTemps starts from ambient. out's slices are reused when already
-// sized for this chip, so a tight stepping loop (core.System.Run)
-// allocates nothing per tick after the first call. prevBlockTemps must not
-// alias out.BlockTempC — keep a separate previous-temperature buffer and
-// copy out.BlockTempC into it between steps.
-func (c *Chip) EvaluateTransientInto(out *EvalResult, states []CoreState, cpu *cpusim.Model, prevBlockTemps []float64, dtMS float64) error {
-	sc := c.getScratch()
-	defer c.evalPool.Put(sc)
-	nb := len(c.FP.Blocks)
-	nc := c.NumCores()
-	if len(out.CorePowerW) != nc {
-		out.CorePowerW = make([]float64, nc)
+// TransientState is one time-stepped run's private thermal state on a
+// chip: the block temperatures the next step starts from, the dynamic
+// power and IPCs last assembled, the resolved thermal stepper and the
+// result's buffers. Unlike Evaluate, temperatures carry inertia across
+// steps. A run calls Assemble when its operating points change and Step
+// on every tick; a tick whose operating points did not change skips
+// Assemble, because the dynamic power and IPCs it would compute are the
+// ones already held. After its first step a run allocates nothing and
+// takes no lock (a step of a new length resolves its stepper once). The
+// chip may be shared; a TransientState must not be.
+type TransientState struct {
+	c                              *Chip
+	dyn, coreDyn, leak, total, rhs []float64
+	prev                           []float64 // block temperatures the next step starts from
+	stepper                        *thermal.Transient
+	dtMS                           float64
+	res                            EvalResult
+}
+
+// NewTransientState returns a run state at ambient temperature with no
+// dynamic power assembled.
+func (c *Chip) NewTransientState() *TransientState {
+	nb, nc := len(c.FP.Blocks), c.NumCores()
+	return &TransientState{
+		c:       c,
+		dyn:     make([]float64, nb),
+		coreDyn: make([]float64, nc),
+		leak:    make([]float64, nb),
+		total:   make([]float64, nb),
+		rhs:     make([]float64, nb),
+		prev:    make([]float64, nb),
+		res: EvalResult{
+			CorePowerW: make([]float64, nc),
+			CoreTempC:  make([]float64, nc),
+			CoreIPC:    make([]float64, nc),
+			BlockTempC: c.Therm.AmbientTemps(nil),
+		},
 	}
-	if len(out.CoreTempC) != nc {
-		out.CoreTempC = make([]float64, nc)
+}
+
+// Assemble computes the per-block dynamic power and per-core IPC of the
+// given states, which the following steps integrate.
+func (ts *TransientState) Assemble(states []CoreState, cpu *cpusim.Model) error {
+	return ts.c.assembleDynamicInto(ts.dyn, ts.coreDyn, ts.res.CoreIPC, states, cpu)
+}
+
+// Step advances the thermal state by dtMS under the last assembled dynamic
+// power: leakage of the given states is evaluated at the previous
+// temperatures (explicit) and conduction integrated implicitly. The
+// returned result is owned by ts and overwritten by the next Step.
+func (ts *TransientState) Step(states []CoreState, dtMS float64) (*EvalResult, error) {
+	c := ts.c
+	if ts.stepper == nil || dtMS != ts.dtMS {
+		stepper, err := c.stepperFor(dtMS)
+		if err != nil {
+			return nil, err
+		}
+		ts.stepper, ts.dtMS = stepper, dtMS
 	}
-	if len(out.CoreIPC) != nc {
-		out.CoreIPC = make([]float64, nc)
+	copy(ts.prev, ts.res.BlockTempC)
+	leak := c.leakInto(ts.leak, states, ts.prev)
+	for i := range ts.total {
+		ts.total[i] = ts.dyn[i] + leak[i]
 	}
-	if len(out.BlockTempC) != nb {
-		out.BlockTempC = make([]float64, nb)
+	if err := ts.stepper.StepInto(ts.res.BlockTempC, ts.rhs, ts.total, ts.prev); err != nil {
+		return nil, err
 	}
-	dyn := sc.dyn
-	if err := c.assembleDynamicInto(dyn, sc.coreDyn, out.CoreIPC, states, cpu); err != nil {
-		return err
-	}
-	stepper, err := c.stepperFor(dtMS)
-	if err != nil {
-		return err
-	}
-	if prevBlockTemps == nil {
-		prevBlockTemps = c.Therm.AmbientTemps(nil)
-	}
-	leak := c.leakageFn(sc.leak, states)(prevBlockTemps)
-	total := sc.total
-	for i := range total {
-		total[i] = dyn[i] + leak[i]
-	}
-	if err := stepper.StepInto(out.BlockTempC, sc.rhs, total, prevBlockTemps); err != nil {
-		return err
-	}
-	c.buildResultInto(out, states, dyn, leak, out.BlockTempC, 1)
-	return nil
+	c.buildResultInto(&ts.res, states, ts.dyn, leak, ts.res.BlockTempC, 1)
+	return &ts.res, nil
 }
 
 // stepperFor returns the cached transient stepper for dtMS, factorising on
@@ -450,12 +478,10 @@ func (c *Chip) buildResultInto(res *EvalResult, states []CoreState, dyn, leak, t
 // block temperature tempC using the per-die leakage cache; it matches
 // power.Model.CoreStaticW.
 func (c *Chip) CoreStaticCached(core int, v, tempC float64) float64 {
+	uplift := c.leakLaw.RandomUplift(c.Maps.VthSigmaRan, tempC)
 	sum := 0.0
-	blocks := c.FP.Blocks
-	for bi := range blocks {
-		if blocks[bi].Core == core {
-			sum += c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi], c.Maps.VthSigmaRan, v, tempC)
-		}
+	for _, bi := range c.FP.CoreBlockIndices(core) {
+		sum += c.blockStatic(bi, v, tempC, uplift)
 	}
 	return sum
 }

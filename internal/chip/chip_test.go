@@ -252,14 +252,15 @@ func TestEvaluateTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var temps []float64
+	ts := c.NewTransientState()
+	if err := ts.Assemble(st, cpu); err != nil {
+		t.Fatal(err)
+	}
 	var last *EvalResult
 	for step := 0; step < 600; step++ {
-		last = &EvalResult{}
-		if err := c.EvaluateTransientInto(last, st, cpu, temps, 1); err != nil {
+		if last, err = ts.Step(st, 1); err != nil {
 			t.Fatal(err)
 		}
-		temps = last.BlockTempC
 	}
 	for core := 0; core < 20; core++ {
 		if d := last.CoreTempC[core] - steady.CoreTempC[core]; d > 1.0 || d < -1.0 {
@@ -280,8 +281,12 @@ func TestEvaluateTransientInertia(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := &EvalResult{}
-	if err := c.EvaluateTransientInto(one, st, cpu, nil, 1); err != nil {
+	ts := c.NewTransientState()
+	if err := ts.Assemble(st, cpu); err != nil {
+		t.Fatal(err)
+	}
+	one, err := ts.Step(st, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	amb := c.Therm.Config().AmbientC
@@ -292,74 +297,123 @@ func TestEvaluateTransientInertia(t *testing.T) {
 	}
 }
 
-// TestEvaluateTransientIntoMatchesAllocatingForm checks that a result
-// reused across steps matches a freshly allocated one bit for bit.
-func TestEvaluateTransientIntoMatchesAllocatingForm(t *testing.T) {
+// TestTransientStateReuseMatchesReassembly checks that steps which keep
+// the dynamic power assembled for unchanged states match steps that
+// assemble it every time, bit for bit, across a change of operating
+// points and a shortened step.
+func TestTransientStateReuseMatchesReassembly(t *testing.T) {
 	c, cpu := testChip(t)
 	apps := workload.SPEC()
 	st := c.OffStates()
 	for core := 0; core < 20; core++ {
-		st[core] = CoreState{App: apps[core%len(apps)], V: 0.9, F: c.FmaxAt(core, 0.9)}
+		st[core] = CoreState{App: apps[core%len(apps)], V: 0.9, F: c.FmaxAt(core, 0.9), ElapsedMS: 50}
 	}
-	prev := c.Therm.AmbientTemps(nil)
-	var reused EvalResult
-	for step := 0; step < 5; step++ {
-		want := &EvalResult{}
-		if err := c.EvaluateTransientInto(want, st, cpu, prev, 1); err != nil {
-			t.Fatal(err)
+	reuse, every := c.NewTransientState(), c.NewTransientState()
+	for step := 0; step < 12; step++ {
+		dt := 1.0
+		switch step {
+		case 6:
+			// New operating points for half the cores, and one core off.
+			for core := 0; core < 10; core++ {
+				st[core].V, st[core].F = 0.8, c.FmaxAt(core, 0.8)
+			}
+			st[15] = CoreState{}
+		case 11:
+			dt = 0.4
 		}
-		if err := c.EvaluateTransientInto(&reused, st, cpu, prev, 1); err != nil {
-			t.Fatal(err)
-		}
-		if reused.TotalW != want.TotalW || reused.ThermalIters != want.ThermalIters {
-			t.Fatalf("step %d: Into total %v vs %v", step, reused.TotalW, want.TotalW)
-		}
-		for i := range want.BlockTempC {
-			if reused.BlockTempC[i] != want.BlockTempC[i] {
-				t.Fatalf("step %d block %d: %v vs %v", step, i, reused.BlockTempC[i], want.BlockTempC[i])
+		if step == 0 || step == 6 {
+			if err := reuse.Assemble(st, cpu); err != nil {
+				t.Fatal(err)
 			}
 		}
-		for core := range want.CorePowerW {
-			if reused.CorePowerW[core] != want.CorePowerW[core] ||
-				reused.CoreTempC[core] != want.CoreTempC[core] ||
-				reused.CoreIPC[core] != want.CoreIPC[core] {
+		if err := every.Assemble(st, cpu); err != nil {
+			t.Fatal(err)
+		}
+		a, err := reuse.Step(st, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := every.Step(st, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.TotalW != b.TotalW || a.DynW != b.DynW || a.StaticW != b.StaticW || a.L2PowerW != b.L2PowerW {
+			t.Fatalf("step %d: totals %v/%v vs %v/%v", step, a.TotalW, a.DynW, b.TotalW, b.DynW)
+		}
+		for i := range b.BlockTempC {
+			if a.BlockTempC[i] != b.BlockTempC[i] {
+				t.Fatalf("step %d block %d: %v vs %v", step, i, a.BlockTempC[i], b.BlockTempC[i])
+			}
+		}
+		for core := range b.CorePowerW {
+			if a.CorePowerW[core] != b.CorePowerW[core] ||
+				a.CoreTempC[core] != b.CoreTempC[core] ||
+				a.CoreIPC[core] != b.CoreIPC[core] {
 				t.Fatalf("step %d core %d diverged", step, core)
 			}
 		}
-		copy(prev, want.BlockTempC)
 	}
 }
 
-func TestEvaluateTransientIntoDoesNotAllocate(t *testing.T) {
+// TestTransientStateDoesNotAllocate pins that a transient tick, with or
+// without re-assembling the dynamic power, allocates nothing once the
+// state has stepped.
+func TestTransientStateDoesNotAllocate(t *testing.T) {
 	c, cpu := testChip(t)
 	apps := workload.SPEC()
 	st := c.OffStates()
 	for core := 0; core < 20; core++ {
 		st[core] = CoreState{App: apps[core%len(apps)], V: 0.9, F: c.FmaxAt(core, 0.9)}
 	}
-	prev := c.Therm.AmbientTemps(nil)
-	var out EvalResult
-	// Warm up: first call sizes out's slices and the stepper cache.
-	if err := c.EvaluateTransientInto(&out, st, cpu, prev, 1); err != nil {
+	ts := c.NewTransientState()
+	// Warm up: the first step resolves the stepper.
+	if err := ts.Assemble(st, cpu); err != nil {
 		t.Fatal(err)
 	}
-	copy(prev, out.BlockTempC)
+	if _, err := ts.Step(st, 1); err != nil {
+		t.Fatal(err)
+	}
+	// The engine's tick loop rides this path once per simulated tick.
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := c.EvaluateTransientInto(&out, st, cpu, prev, 1); err != nil {
+		if err := ts.Assemble(st, cpu); err != nil {
 			t.Fatal(err)
 		}
-		copy(prev, out.BlockTempC)
+		if _, err := ts.Step(st, 1); err != nil {
+			t.Fatal(err)
+		}
 	})
-	// The engine's tick loop rides this path once per simulated tick, so
-	// it must not allocate. Under the race detector sync.Pool drops a
-	// random quarter of its Puts and the pooled scratch is rebuilt (ten
-	// allocations) after each drop; there the test keeps its former bound
-	// of 8 per call.
-	limit := 0.0
-	if raceEnabled {
-		limit = 8
+	if allocs != 0 {
+		t.Fatalf("a transient tick allocates %v objects", allocs)
 	}
-	if allocs > limit {
-		t.Fatalf("EvaluateTransientInto allocates %v objects per call", allocs)
+}
+
+// TestCoreStaticCachedMatchesPowerModel checks the per-die leakage cache
+// against the power model's direct per-block evaluation, per core, over
+// the voltage ladder and temperatures away from the reference point.
+func TestCoreStaticCachedMatchesPowerModel(t *testing.T) {
+	base, _ := testChip(t)
+	// A power model whose technology differs from the maps' must still
+	// agree with its own direct form: the die's leakage law is the power
+	// model's.
+	pt := base.Tech
+	pt.TRefC += 15
+	pt.VthNominal += 0.02
+	pt.DIBL *= 1.5
+	other, err := Build(base.Maps, base.FP, delay.DefaultConfig(), power.DefaultModel(pt), thermal.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Chip{base, other} {
+		for core := 0; core < c.NumCores(); core++ {
+			for _, v := range c.Levels {
+				for _, tempC := range []float64{c.Tech.TRefC, c.Power.Tech.TRefC, 45, 85, 110} {
+					got := c.CoreStaticCached(core, v, tempC)
+					want := c.Power.CoreStaticW(c.Maps, c.FP, core, v, tempC)
+					if math.Abs(got-want) > 1e-12*want {
+						t.Fatalf("core %d at (%v V, %v C): cached %v W, direct %v W", core, v, tempC, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -15,13 +15,17 @@ import (
 // timer.
 func benchmarkRun(b *testing.B, mode Mode, manager pm.Manager) {
 	c, cpu := testSystemParts(b)
-	apps := workload.Mix(stats.NewRNG(1), 20)
-	cfg := Config{
+	benchmarkConfig(b, Config{
 		Chip: c, CPU: cpu, Scheduler: sched.VarFAppIPCPolicy{},
 		Mode: mode, Manager: manager,
 		Budget: pm.Budget{PTargetW: 75, PCoreMaxW: 7.5},
 		Seed:   1,
-	}
+	})
+}
+
+// benchmarkConfig times 1000 simulated ms of cfg on 20 threads.
+func benchmarkConfig(b *testing.B, cfg Config) {
+	apps := workload.Mix(stats.NewRNG(1), 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,6 +40,19 @@ func benchmarkRun(b *testing.B, mode Mode, manager pm.Manager) {
 }
 
 func BenchmarkRunNUniFreq(b *testing.B) { benchmarkRun(b, ModeNUniFreq, nil) }
+
+// BenchmarkRunTransient is the NUniFreq timeline as the dynamic scenarios
+// run it: transient thermal with the emergency governor armed at 85/80 C
+// and a 10 ms OS interval, 1000 ticks of 1 ms.
+func BenchmarkRunTransient(b *testing.B) {
+	c, cpu := testSystemParts(b)
+	benchmarkConfig(b, Config{
+		Chip: c, CPU: cpu, Scheduler: sched.VarFAppIPCPolicy{},
+		Mode: ModeNUniFreq, TransientThermal: true,
+		EmergencyC: 85, RecoverC: 80, OSIntervalMS: 10,
+		Seed: 1,
+	})
+}
 
 func BenchmarkRunDVFSLinOpt(b *testing.B) { benchmarkRun(b, ModeDVFS, pm.NewLinOpt()) }
 

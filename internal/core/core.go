@@ -15,6 +15,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"vasched/internal/chip"
@@ -157,11 +159,37 @@ func (c *Config) Validate() error {
 	if c.Scheduler == nil {
 		return errors.New("core: Scheduler is required")
 	}
+	// NaN passes every ordered comparison below, and +Inf durations never
+	// end: a non-finite interval would silently stop re-mapping or DVFS
+	// after the first tick, and a NaN threshold disarm the governor.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"OSIntervalMS", c.OSIntervalMS},
+		{"DVFSIntervalMS", c.DVFSIntervalMS},
+		{"SampleIntervalMS", c.SampleIntervalMS},
+		{"WarmupMS", c.WarmupMS},
+		{"EmergencyC", c.EmergencyC},
+		{"RecoverC", c.RecoverC},
+		{"MigrationPenaltyMS", c.MigrationPenaltyMS},
+		{"VTransitionUSPerStep", c.VTransitionUSPerStep},
+		{"SensorNoise", c.SensorNoise},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %v is not finite", f.name, f.v)
+		}
+	}
+	for i, off := range c.StartOffsetsMS {
+		if math.IsNaN(off) || math.IsInf(off, 0) {
+			return fmt.Errorf("core: StartOffsetsMS[%d] %v is not finite", i, off)
+		}
+	}
 	if c.Mode == ModeDVFS {
 		if c.Manager == nil {
 			return errors.New("core: ModeDVFS requires a power manager")
 		}
-		if c.Budget.PTargetW <= 0 || c.Budget.PCoreMaxW <= 0 {
+		if !(c.Budget.PTargetW > 0) || !(c.Budget.PCoreMaxW > 0) {
 			return fmt.Errorf("core: ModeDVFS requires a positive budget, got %+v", c.Budget)
 		}
 	}
@@ -242,8 +270,9 @@ type System struct {
 	cfg Config
 	rng *stats.RNG
 	// Set and read only by in-package tests: evalEveryTick turns off the
-	// reuse of unchanged steady-state evaluations, and evals counts the
-	// chip evaluations of the last Run.
+	// reuse of unchanged steady-state evaluations and transient dynamic
+	// power, and evals counts the ticks of the last Run that evaluated
+	// the chip (steady state) or assembled its dynamic power (transient).
 	evalEveryTick bool
 	evals         int
 }
@@ -257,9 +286,10 @@ func New(cfg Config) (*System, error) {
 	return &System{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}, nil
 }
 
-// evalKey is one core's share of what a steady-state chip evaluation
-// depends on: the thread, its operating point and its phase index. A
-// powered-off core has the zero key.
+// evalKey is one core's share of what a steady-state chip evaluation, or
+// the dynamic power of a transient tick, depends on: the thread, its
+// operating point and its phase index. A powered-off core has the zero
+// key.
 type evalKey struct {
 	app   *workload.AppProfile
 	v, f  float64
@@ -273,10 +303,12 @@ type evalKey struct {
 // (ModeDVFS only), the operating points under the governor's clamp, the
 // steady-state or transient chip evaluation, progress and phase
 // crossings, wearout, and the governor's look at the tick's peak
-// temperature. A steady-state evaluation runs only on ticks where some
-// core's (app, V, f, phase) differs from the last evaluated vector;
-// otherwise the last result is reused, which is exact because Evaluate is
-// a pure function of that vector.
+// temperature. Every tick builds the per-core (app, V, f, phase) key
+// vector. A steady-state evaluation runs only on ticks where it differs
+// from the last evaluated vector, otherwise the last result is reused,
+// which is exact because Evaluate is a pure function of that vector. A
+// transient tick always steps the thermal state, but re-assembles the
+// dynamic power only on such ticks, which is exact for the same reason.
 func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats, error) {
 	c := s.cfg.Chip
 	if len(apps) == 0 {
@@ -285,8 +317,8 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 	if len(apps) > c.NumCores() {
 		return nil, fmt.Errorf("core: %d threads exceed %d cores", len(apps), c.NumCores())
 	}
-	if durationMS <= 0 {
-		return nil, fmt.Errorf("core: non-positive duration %v", durationMS)
+	if !(durationMS > 0) || math.IsInf(durationMS, 1) {
+		return nil, fmt.Errorf("core: duration %v ms is not positive and finite", durationMS)
 	}
 	if s.cfg.StartOffsetsMS != nil && len(s.cfg.StartOffsetsMS) != len(apps) {
 		return nil, fmt.Errorf("core: %d start offsets for %d threads", len(s.cfg.StartOffsetsMS), len(apps))
@@ -367,15 +399,19 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 	)
 	out := &RunStats{DurationMS: durationMS, Instructions: instructions}
 
-	// Per-tick buffers: apart from steady-state evaluations at a changed
-	// operating point and DVFS decisions, the loop allocates nothing.
-	// prevTemps chains the transient thermal state; eval's slices are
-	// recycled by EvaluateTransientInto. evalKeys is the (app, V, f,
-	// phase) vector lastEval was evaluated at in steady-state mode.
+	// Per-tick buffers: apart from OS intervals, DVFS decisions,
+	// steady-state evaluations at a changed operating point and the trace
+	// spans of a traced run, the loop allocates nothing. transient owns
+	// the thermal state, the dynamic power and the result of a transient
+	// run. keys is this tick's (app, V, f, phase) vector and evalKeys the
+	// one the chip last evaluated or assembled.
 	var assignment sched.Assignment
 	var lastEval *chip.EvalResult
-	var eval chip.EvalResult
-	var prevTemps []float64
+	var transient *chip.TransientState
+	if s.cfg.TransientThermal {
+		transient = c.NewTransientState()
+	}
+	keys := make([]evalKey, c.NumCores())
 	evalKeys := make([]evalKey, c.NumCores())
 	s.evals = 0
 	levels := make([]int, nT) // ladder levels the mode chose (DVFS decisions)
@@ -392,8 +428,11 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 	// Only governed runs open a span per tick, with migration and
 	// emergency events under it, as the recorded dynamic scenarios do: a
 	// span per tick of every Fig. 2 timeline would overflow a 1024-span
-	// trace ring such as the timeline-dvfs benchmark's. The deferred End
-	// closes a tick span left open by an error return.
+	// trace ring such as the timeline-dvfs benchmark's. Their attributes
+	// are built only with a tracer attached, so an untraced run formats
+	// nothing. The deferred End closes a tick span left open by an error
+	// return.
+	traced := governed && trace.FromContext(ctx) != nil
 	var sp *trace.ActiveSpan
 	defer func() { sp.End() }()
 
@@ -406,7 +445,7 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 			dt = rem
 		}
 		tickCtx := ctx
-		if governed {
+		if traced {
 			tickCtx, sp = trace.Start(ctx, "dynamic.step",
 				trace.Int("tick", out.Steps), trace.Int("depth", depth))
 		}
@@ -441,7 +480,7 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 				}
 			}
 			out.Migrations += moved
-			if governed && moved > 0 {
+			if traced && moved > 0 {
 				trace.Event(tickCtx, "dynamic.migrate", trace.Int("threads", moved))
 			}
 			assignment = next
@@ -483,8 +522,11 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 		}
 
 		// Operating points: the mode's ladder level, capped by the
-		// governor's clamp but never below a feasible level.
+		// governor's clamp but never below a feasible level. phaseIdx[t]
+		// is the phase index at elapsed[t], which the progress loop keeps
+		// current.
 		clear(states)
+		clear(keys)
 		for t, app := range apps {
 			coreID := assignment[t]
 			lvl := levels[t]
@@ -497,42 +539,37 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 				f = uniFreq[lvl]
 			}
 			states[coreID] = chip.CoreState{App: app, V: v, F: f, ElapsedMS: elapsed[t]}
+			keys[coreID] = evalKey{app: app, v: v, f: f, phase: phaseIdx[t]}
 			freqs[t] = f
 		}
-		var res *chip.EvalResult
-		if s.cfg.TransientThermal {
-			// The step reads the previous temperatures from a copy:
-			// EvaluateTransientInto must not read the buffer it writes.
-			prevTemps = append(prevTemps[:0], eval.BlockTempC...)
-			err = c.EvaluateTransientInto(&eval, states, s.cfg.CPU, prevTemps, dt)
-			res = &eval
+		// Evaluate and the dynamic-power half of a transient tick are pure
+		// functions of the (app, V, f, phase) vector: the fixed point
+		// restarts from the same warm start on every call, neither draws
+		// random numbers, and cpusim's IPC is stateless. While the vector
+		// repeats, lastEval is what Evaluate would return, and the
+		// transient state already holds what Assemble would compute, bit
+		// for bit. A steady-state result is shared across ticks and must
+		// stay read-only: progress, wearout, the governor, the
+		// accumulators, the scheduler's temperatures and fillSnapshot
+		// only read it.
+		changed := lastEval == nil || s.evalEveryTick || !slices.Equal(keys, evalKeys)
+		if changed {
+			copy(evalKeys, keys)
 			s.evals++
-		} else {
-			// Evaluate is a pure function of the (app, V, f, phase)
-			// vector: its fixed point restarts from the same warm start
-			// on every call, it draws no random numbers, and cpusim's IPC
-			// is stateless. While the vector repeats, lastEval is what
-			// Evaluate would return, bit for bit. The result is shared
-			// across ticks and must stay read-only: progress, wearout, the
-			// governor, the accumulators, the scheduler's temperatures and
-			// fillSnapshot only read it.
-			changed := lastEval == nil || s.evalEveryTick
-			for core, st := range states {
-				var k evalKey
-				if st.App != nil {
-					k = evalKey{app: st.App, v: st.V, f: st.F}
-					k.phase, _ = st.App.PhaseIndexAt(st.ElapsedMS)
-				}
-				if k != evalKeys[core] {
-					evalKeys[core] = k
-					changed = true
-				}
-			}
-			res = lastEval
+		}
+		var res *chip.EvalResult
+		switch {
+		case transient != nil:
 			if changed {
-				res, err = c.Evaluate(states, s.cfg.CPU)
-				s.evals++
+				err = transient.Assemble(states, s.cfg.CPU)
 			}
+			if err == nil {
+				res, err = transient.Step(states, dt)
+			}
+		case changed:
+			res, err = c.Evaluate(states, s.cfg.CPU)
+		default:
+			res = lastEval
 		}
 		if err != nil {
 			return nil, err
@@ -576,7 +613,7 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 		out.FinalMaxTempC = mt
 		if governed {
 			newDepth, tripped := governor.Observe(mt, vTop)
-			if tripped {
+			if tripped && traced {
 				trace.Event(tickCtx, "dynamic.emergency",
 					trace.Int("depth", newDepth), trace.String("maxC", fmt.Sprintf("%.1f", mt)))
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -204,6 +205,11 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := sys.Run(apps[:2], -1); err == nil {
 		t.Fatal("negative duration accepted")
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := sys.Run(apps[:2], d); err == nil {
+			t.Fatalf("duration %v accepted", d)
+		}
 	}
 }
 
@@ -482,6 +488,31 @@ func TestScenarioValidation(t *testing.T) {
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+	// Non-finite values pass the ordered checks and setDefaults; each must
+	// be rejected by an error that names its field.
+	nan, inf := math.NaN(), math.Inf(1)
+	for field, mut := range map[string]func(*Config){
+		"OSIntervalMS":         func(c *Config) { c.OSIntervalMS = nan },
+		"DVFSIntervalMS":       func(c *Config) { c.DVFSIntervalMS = inf },
+		"SampleIntervalMS":     func(c *Config) { c.SampleIntervalMS = nan },
+		"WarmupMS":             func(c *Config) { c.WarmupMS = inf },
+		"EmergencyC":           func(c *Config) { c.EmergencyC = nan },
+		"RecoverC":             func(c *Config) { c.EmergencyC, c.RecoverC = 80, nan },
+		"MigrationPenaltyMS":   func(c *Config) { c.MigrationPenaltyMS = inf },
+		"VTransitionUSPerStep": func(c *Config) { c.VTransitionUSPerStep = nan },
+		"SensorNoise":          func(c *Config) { c.SensorNoise = nan },
+		"StartOffsetsMS[1]":    func(c *Config) { c.StartOffsetsMS = []float64{0, -inf} },
+		"budget": func(c *Config) {
+			c.Mode, c.Manager, c.Budget = ModeDVFS, pm.NewFoxton(), pm.Budget{PTargetW: nan, PCoreMaxW: 5}
+		},
+	} {
+		cfg := Config{Chip: c, CPU: cpu, Scheduler: pol}
+		mut(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("non-finite %s: error %v", field, err)
 		}
 	}
 	sys, err := New(Config{Chip: c, CPU: cpu, Scheduler: pol, StartOffsetsMS: []float64{1, 2}})

@@ -38,10 +38,11 @@ var reuseManagers = []struct {
 var reuseSchedulers = []string{sched.NameVarFAppIPC, sched.NameRandom, sched.NameTempAware}
 
 // drawReuseCases draws n configurations from a seeded RNG. Mode, manager,
-// scheduler and thread count cycle with the index; intervals, durations
-// and the scenario options are drawn, each option on about half of the
-// cases. Intervals are drawn off the tick grid, and durations so that the
-// tick rarely divides them.
+// scheduler and thread count cycle with the index, as do the governor (a
+// quarter of the cases) and transient thermal (a third); intervals,
+// durations and the other scenario options are drawn, each option on
+// about half of the cases. Intervals are drawn off the tick grid, and
+// durations so that the tick rarely divides them.
 func drawReuseCases(t *testing.T, n int, seed int64) []reuseCase {
 	t.Helper()
 	c, cpu := testSystemParts(t)
@@ -85,6 +86,7 @@ func drawReuseCases(t *testing.T, n int, seed int64) []reuseCase {
 			cfg.EmergencyC = 55 + 25*rng.Float64()
 			cfg.RecoverC = cfg.EmergencyC - 4*rng.Float64()
 		}
+		cfg.TransientThermal = i%3 == 2
 		apps := workload.Mix(stats.NewRNG(cfg.Seed), threads)
 		if half() {
 			cfg.StartOffsetsMS = make([]float64, threads)
@@ -151,13 +153,13 @@ func bitsDiff(path string, a, b reflect.Value) string {
 	return ""
 }
 
-// TestEvalReuseBitIdentical is the exactness property of the steady-state
-// evaluation reuse: over drawn configurations covering every mode and
-// manager, the schedulers that read temperatures or re-map at random, the
-// governor and every scenario option, a run that evaluates the chip on
-// every tick and one that reuses unchanged evaluations return the same
-// RunStats, bit for bit. DecideTime is host wall clock and the only field
-// left out.
+// TestEvalReuseBitIdentical is the exactness property of the evaluation
+// reuse: over drawn configurations covering every mode and manager, the
+// schedulers that read temperatures or re-map at random, the governor,
+// every scenario option and both thermal modes, a run that evaluates the
+// chip (or assembles its transient dynamic power) on every tick and one
+// that reuses unchanged work return the same RunStats, bit for bit.
+// DecideTime is host wall clock and the only field left out.
 func TestEvalReuseBitIdentical(t *testing.T) {
 	cases := drawReuseCases(t, 60, 2008)
 	covered := map[string]int{}
@@ -220,11 +222,33 @@ func TestEvalReuseBitIdentical(t *testing.T) {
 		if reuse.PhaseSwitches > 0 {
 			covered["phase switches"]++
 		}
+		if cfg.TransientThermal {
+			covered[fmt.Sprintf("transient at a %v ms tick", cfg.SampleIntervalMS)]++
+			if reuse.Steps > evals {
+				covered["transient reuse"]++
+			}
+			if reuse.Emergencies > 0 {
+				covered["transient governor tripped"]++
+			}
+			if reuse.Migrations > 0 && cfg.MigrationPenaltyMS > 0 {
+				covered["transient migration penalty"]++
+			}
+			if cfg.StartOffsetsMS != nil {
+				covered["transient start offsets"]++
+			}
+			if reuse.PhaseSwitches > 0 {
+				covered["transient phase switches"]++
+			}
+		}
 	}
 	for _, w := range []string{
 		"OS interval off the tick grid", "DVFS interval off the tick grid", "short last tick",
 		"warmup", "governor tripped", "migration penalty", "start offsets",
 		"voltage transitions", "sensor noise", "trace", "phase switches",
+		"transient at a 0.7 ms tick", "transient at a 1 ms tick",
+		"transient at a 1.3 ms tick", "transient at a 2.5 ms tick", "transient reuse",
+		"transient governor tripped", "transient migration penalty",
+		"transient start offsets", "transient phase switches",
 	} {
 		if covered[w] == 0 {
 			t.Errorf("no drawn case covers %q", w)
@@ -238,7 +262,8 @@ func TestEvalReuseBitIdentical(t *testing.T) {
 
 // TestEvalReuseCounts pins where evaluations happen: a steady NUniFreq
 // run re-evaluates only when an operating point or phase changes, and a
-// transient run steps the thermal state on every tick.
+// transient run, which steps the thermal state on every tick, assembles
+// its dynamic power only then.
 func TestEvalReuseCounts(t *testing.T) {
 	c, cpu := testSystemParts(t)
 	apps := workload.Mix(stats.NewRNG(5), 12)
@@ -248,11 +273,43 @@ func TestEvalReuseCounts(t *testing.T) {
 			Mode: ModeNUniFreq, TransientThermal: transient, Seed: 5,
 		}
 		st, evals := runCounted(t, cfg, apps, 200, false)
-		switch {
-		case transient && evals != st.Steps:
-			t.Errorf("transient run evaluated %d of %d ticks", evals, st.Steps)
-		case !transient && (evals == 0 || evals >= st.Steps):
-			t.Errorf("steady run evaluated %d of %d ticks", evals, st.Steps)
+		if evals == 0 || evals >= st.Steps {
+			t.Errorf("run with transient=%v evaluated %d of %d ticks", transient, evals, st.Steps)
 		}
+	}
+}
+
+// TestTransientGovernedRunAllocationsFlat pins that a tick of an untraced
+// governed transient run allocates nothing: with one OS interval, a run
+// of 6,000 ticks makes exactly as many allocations as one of 3,000, its
+// emergencies and tick attributes included.
+func TestTransientGovernedRunAllocationsFlat(t *testing.T) {
+	c, cpu := testSystemParts(t)
+	apps := workload.Mix(stats.NewRNG(3), 12)
+	cfg := Config{
+		Chip: c, CPU: cpu, Scheduler: mustPolicy(t, sched.NameVarFAppIPC),
+		Mode: ModeNUniFreq, TransientThermal: true,
+		EmergencyC: 62, RecoverC: 58, OSIntervalMS: 1e6, Seed: 3,
+	}
+	allocs := func(durMS float64) (float64, *RunStats) {
+		var st *RunStats
+		n := testing.AllocsPerRun(2, func() {
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = sys.Run(apps, durMS); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return n, st
+	}
+	short, _ := allocs(3000)
+	long, st := allocs(6000)
+	if st.Emergencies == 0 {
+		t.Fatalf("the governor never tripped in %d ticks", st.Steps)
+	}
+	if long != short {
+		t.Fatalf("%v allocations at 3,000 ticks, %v at 6,000", short, long)
 	}
 }

@@ -99,13 +99,15 @@ func BuildCore(maps *varmodel.DieMaps, fp *floorplan.Floorplan, core int, rng *s
 	return cp, nil
 }
 
-// WorstRelativeDelay returns the largest relative path delay at supply v
-// and temperature tempC (1.0 means "as slow as the nominal device at the
-// nominal operating point").
-func (cp *CorePaths) WorstRelativeDelay(v, tempC float64) float64 {
+// worstDelay returns the largest relative path delay at supply v and
+// temperature tempC with every path's threshold shifted by dVth (1.0
+// means "as slow as the nominal device at the nominal operating point").
+// It builds the delay law once for all paths.
+func (cp *CorePaths) worstDelay(dVth, v, tempC float64) float64 {
+	law := cp.tech.DelayAt(tempC)
 	worst := 0.0
 	for _, p := range cp.paths {
-		d := cp.tech.AlphaPowerDelay(p.vth, p.leff, v, tempC)
+		d := law.Delay(p.vth+dVth, p.leff, v)
 		if d > worst {
 			worst = d
 		}
@@ -117,28 +119,14 @@ func (cp *CorePaths) WorstRelativeDelay(v, tempC float64) float64 {
 // temperature tempC, quantised down to the PLL grid. It returns 0 if no
 // path switches at this operating point (supply too close to threshold).
 func (cp *CorePaths) FmaxHz(v, tempC float64) float64 {
-	worst := cp.WorstRelativeDelay(v, tempC)
-	if math.IsInf(worst, 1) || worst <= 0 {
-		return 0
-	}
-	f := cp.tech.FNominalHz / worst
-	if cp.cfg.FStepHz > 0 {
-		f = math.Floor(f/cp.cfg.FStepHz) * cp.cfg.FStepHz
-	}
-	return f
+	return cp.FmaxWithVthShift(0, v, tempC)
 }
 
 // FmaxWithVthShift returns the core's maximum frequency with every path's
 // threshold shifted by dVth volts — the what-if query body-bias selection
-// needs (forward bias makes dVth negative). Quantisation matches FmaxHz.
+// needs (forward bias makes dVth negative), quantised like FmaxHz.
 func (cp *CorePaths) FmaxWithVthShift(dVth, v, tempC float64) float64 {
-	worst := 0.0
-	for _, p := range cp.paths {
-		d := cp.tech.AlphaPowerDelay(p.vth+dVth, p.leff, v, tempC)
-		if d > worst {
-			worst = d
-		}
-	}
+	worst := cp.worstDelay(dVth, v, tempC)
 	if math.IsInf(worst, 1) || worst <= 0 {
 		return 0
 	}

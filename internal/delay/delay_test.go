@@ -9,7 +9,7 @@ import (
 	"vasched/internal/varmodel"
 )
 
-func buildTestCore(t *testing.T, sigmaOverMu float64, core int, seed int64) *CorePaths {
+func buildTestCore(t testing.TB, sigmaOverMu float64, core int, seed int64) *CorePaths {
 	t.Helper()
 	cfg := varmodel.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 64, 64
@@ -191,5 +191,20 @@ func TestWorstDelayInfeasibleLowVoltage(t *testing.T) {
 	// than something tiny-but-positive built from an Inf delay.
 	if f := cp.FmaxHz(0.27, 95); f != 0 {
 		t.Fatalf("near-threshold Fmax = %v, want 0", f)
+	}
+}
+
+// BenchmarkVFTable is one core's manufacturer table: the worst path delay
+// over its 120 critical paths at each of the nine ladder voltages, at the
+// rating temperature.
+func BenchmarkVFTable(b *testing.B) {
+	cp := buildTestCore(b, 0.12, 3, 2)
+	levels := cp.tech.VoltageLevels()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(cp.VFTable(levels, cp.tech.TRatingC)) == 0 {
+			b.Fatal("empty V/f table")
+		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package dynamic configures the time-stepped scenarios on core's timeline:
 // Run maps a scenario onto core.System.Run with every core at its own
 // maximum frequency (ModeNUniFreq), backward-Euler thermal transients
-// (chip.EvaluateTransientInto, zero allocations per tick), the thermal
-// emergency governor armed (pm.ThrottleGovernor), migration stalls and
-// phase start offsets. Long-horizon runs (horizon.go) degrade Vth across
-// simulated years from the measured wearout rates and re-schedule against
-// the drifted die.
+// (one chip.TransientState per run, which re-assembles dynamic power
+// only when an operating point or phase changes), the thermal emergency
+// governor armed (pm.ThrottleGovernor), migration stalls and phase start
+// offsets. Between OS intervals an untraced run allocates nothing per
+// tick; a traced one allocates its per-tick spans. Long-horizon runs
+// (horizon.go) degrade Vth across simulated years from the measured
+// wearout rates and re-schedule against the drifted die.
 //
 // Everything is deterministic: results are a pure function of (Config,
 // apps, duration). The package backs the ext-transient, ext-phase-mig and

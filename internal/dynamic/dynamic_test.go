@@ -351,3 +351,27 @@ func BenchmarkDynamicStep(b *testing.B) {
 	}
 	b.ReportMetric(50, "sim_ms/op")
 }
+
+// BenchmarkAgeMaps is one aged-die map edit at paper scale (256x256
+// maps, 20 cores): the cell table, the clone of the Vth field and the
+// per-core shift.
+func BenchmarkAgeMaps(b *testing.B) {
+	cfg := varmodel.DefaultConfig()
+	g, err := varmodel.NewGenerator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	maps, err := g.Die(8, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp := floorplan.New20CoreCMP()
+	dVth := drawShifts(stats.NewRNG(1), fp.NumCores, 0.06)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AgeMaps(maps, fp, dVth); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -131,7 +131,8 @@ func RunHorizon(cfg HorizonConfig, apps []*workload.AppProfile, durationMS float
 // by its drift (NBTI raises |Vth|: aged cores are slower and leak less).
 // The shared L2 region is left undrifted — its cells see far lower duty
 // cycles — mirroring how abb.Apply scopes bias to core rectangles. The
-// original maps are not modified.
+// owner of each map cell comes from the floorplan's cell table
+// (floorplan.CellCores). The original maps are not modified.
 func AgeMaps(maps *varmodel.DieMaps, fp *floorplan.Floorplan, dVth []float64) (*varmodel.DieMaps, error) {
 	if len(dVth) != fp.NumCores {
 		return nil, fmt.Errorf("dynamic: %d Vth shifts for %d cores", len(dVth), fp.NumCores)
@@ -146,20 +147,9 @@ func AgeMaps(maps *varmodel.DieMaps, fp *floorplan.Floorplan, dVth []float64) (*
 	field.Data = append([]float64(nil), maps.VthSys.Data...)
 	clone.VthSys = &field
 
-	rows, cols := field.Rows, field.Cols
-	for r := 0; r < rows; r++ {
-		y := (float64(r) + 0.5) / float64(rows)
-		for c := 0; c < cols; c++ {
-			x := (float64(c) + 0.5) / float64(cols)
-			bi := fp.BlockAt(x, y)
-			if bi < 0 {
-				continue
-			}
-			core := fp.Blocks[bi].Core
-			if core < 0 {
-				continue // L2 does not drift
-			}
-			field.Data[r*cols+c] += dVth[core]
+	for i, core := range fp.CellCores(field.Rows, field.Cols) {
+		if core >= 0 { // L2 does not drift
+			field.Data[i] += dVth[core]
 		}
 	}
 	return &clone, nil

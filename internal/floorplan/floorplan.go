@@ -12,6 +12,7 @@ package floorplan
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Rect is an axis-aligned rectangle in normalised chip coordinates
@@ -144,6 +145,11 @@ func (f *Floorplan) DieEdgeMM() float64 { return math.Sqrt(f.DieAreaMM2) }
 // CoreRect returns the bounding rectangle of core c.
 func (f *Floorplan) CoreRect(c int) Rect { return f.coreRects[c] }
 
+// CoreBlockIndices returns the indices into Blocks of core c's blocks,
+// in ascending order. The slice is the floorplan's own and must not be
+// modified.
+func (f *Floorplan) CoreBlockIndices(c int) []int { return f.byCore[c] }
+
 // CoreBlocks returns the blocks belonging to core c.
 func (f *Floorplan) CoreBlocks(c int) []Block {
 	idx := f.byCore[c]
@@ -172,6 +178,49 @@ func (f *Floorplan) BlockAt(x, y float64) int {
 		}
 	}
 	return -1
+}
+
+// CellCores returns the core owning each cell of a rows x cols grid laid
+// over the die, the grid of the variation maps: entry r*cols+c is the
+// Core of the block that BlockAt reports for the cell centre
+// ((c+0.5)/cols, (r+0.5)/rows), or -1 where that is an L2 bank or no
+// block. Per-core map edits (aging drift, body bias) read it instead of
+// locating every cell centre.
+//
+// Each block claims the cells whose centres it contains. Centres grow
+// monotonically along each axis, so the centres inside [X0, X1) are one
+// contiguous run of columns found by binary search with Contains' own
+// comparisons, and likewise for rows. Blocks are visited last to first,
+// so a cell ends with the first block that contains its centre, as in
+// BlockAt.
+func (f *Floorplan) CellCores(rows, cols int) []int32 {
+	if rows <= 0 || cols <= 0 {
+		return nil
+	}
+	centres := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = (float64(i) + 0.5) / float64(n)
+		}
+		return out
+	}
+	ys, xs := centres(rows), centres(cols)
+	t := make([]int32, rows*cols)
+	for i := range t {
+		t[i] = -1
+	}
+	for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
+		b := &f.Blocks[bi]
+		r0, r1 := sort.SearchFloat64s(ys, b.R.Y0), sort.SearchFloat64s(ys, b.R.Y1)
+		c0, c1 := sort.SearchFloat64s(xs, b.R.X0), sort.SearchFloat64s(xs, b.R.X1)
+		for r := r0; r < r1; r++ {
+			row := t[r*cols : (r+1)*cols]
+			for c := c0; c < c1; c++ {
+				row[c] = int32(b.Core)
+			}
+		}
+	}
+	return t
 }
 
 // New20CoreCMP builds the paper's Figure 3 layout: 20 cores in four rows of

@@ -156,8 +156,15 @@ func TestSmallCMPs(t *testing.T) {
 			t.Fatalf("n=%d: blocks cover %v > 1", n, total)
 		}
 		for c := 0; c < n; c++ {
-			if len(f.CoreBlocks(c)) != 6 {
-				t.Fatalf("n=%d: core %d has %d units", n, c, len(f.CoreBlocks(c)))
+			blocks := f.CoreBlocks(c)
+			if len(blocks) != 6 {
+				t.Fatalf("n=%d: core %d has %d units", n, c, len(blocks))
+			}
+			idx := f.CoreBlockIndices(c)
+			for i, bi := range idx {
+				if f.Blocks[bi] != blocks[i] || i > 0 && bi <= idx[i-1] {
+					t.Fatalf("n=%d: core %d block indices %v", n, c, idx)
+				}
 			}
 		}
 	}

@@ -69,8 +69,9 @@ func (m Model) BlockStaticW(maps *varmodel.DieMaps, fp *floorplan.Floorplan, b f
 	leff := maps.LeffMeanOverRect(b.R.X0, b.R.Y0, b.R.X1, b.R.Y1)
 	// Short-channel coupling: regions with shorter gates leak more.
 	vth = m.Tech.EffectiveVth(vth, leff)
-	uplift := m.Tech.RandomLeakageUplift(maps.VthSigmaRan, tempC)
-	factor := m.Tech.LeakageFactor(vth, v, tempC) * uplift
+	law := m.Tech.Leakage()
+	uplift := law.RandomUplift(maps.VthSigmaRan, tempC)
+	factor := law.Factor(vth, v, tempC) * uplift
 
 	if b.Kind == floorplan.UnitL2 {
 		// Distribute the L2 budget over the banks by area.
@@ -102,7 +103,8 @@ func (m Model) blockWeight(b floorplan.Block) float64 {
 // threshold voltage and its nominal static power share at the reference
 // point. Callers that evaluate leakage repeatedly (the thermal fixed point
 // runs per millisecond of simulated time) cache these per-die constants
-// and use BlockStaticFromCache instead of BlockStaticW.
+// and evaluate refW * LeakageFactor(vthEff) * RandomLeakageUplift through
+// one tech.LeakageLaw instead of calling BlockStaticW.
 func (m Model) BlockVthEff(maps *varmodel.DieMaps, fp *floorplan.Floorplan, b floorplan.Block) (vthEff, refW float64) {
 	vth := maps.VthMeanOverRect(b.R.X0, b.R.Y0, b.R.X1, b.R.Y1)
 	leff := maps.LeffMeanOverRect(b.R.X0, b.R.Y0, b.R.X1, b.R.Y1)
@@ -119,13 +121,6 @@ func (m Model) BlockVthEff(maps *varmodel.DieMaps, fp *floorplan.Floorplan, b fl
 		total += m.blockWeight(cb)
 	}
 	return vthEff, m.CoreStaticNomW * (m.blockWeight(b) / total)
-}
-
-// BlockStaticFromCache evaluates a block's static power from the cached
-// (vthEff, refW) pair returned by BlockVthEff, with the random-variation
-// uplift applied. It is algebraically identical to BlockStaticW.
-func (m Model) BlockStaticFromCache(vthEff, refW, sigmaRan, v, tempC float64) float64 {
-	return refW * m.Tech.LeakageFactor(vthEff, v, tempC) * m.Tech.RandomLeakageUplift(sigmaRan, tempC)
 }
 
 // CoreStaticW returns the total static power of core c at supply v with

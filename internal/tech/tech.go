@@ -126,7 +126,53 @@ func ThermalVoltage(tempC float64) float64 {
 // VthAtTemp returns the threshold voltage at tempC for a device whose
 // threshold at TRefC is vthRef. Vth decreases as temperature rises.
 func (p Params) VthAtTemp(vthRef, tempC float64) float64 {
-	return vthRef - p.VthTempCoeff*(tempC-p.TRefC)
+	return vthAtTemp(vthRef, p.VthTempCoeff, p.TRefC, tempC)
+}
+
+func vthAtTemp(vthRef, coeff, tRefC, tempC float64) float64 {
+	return vthRef - coeff*(tempC-tRefC)
+}
+
+// DelayLaw is the alpha-power delay law at one temperature with every
+// term that does not depend on the device evaluated once: the nominal
+// device's V/(V-Vth)^alpha at VddNominal and TRatingC, and the mobility
+// factor. A core's frequency query evaluates it for every critical path,
+// so hoisting these takes a path from three math.Pow calls to one.
+type DelayLaw struct {
+	tempC, vthTempCoeff, tRefC float64
+	leffNominal, alpha         float64
+	den                        float64 // VddNominal / (VddNominal - Vth(TRatingC))^alpha
+	mobility                   float64 // ((TRatingC+273.15) / (tempC+273.15))^1.5
+}
+
+// DelayAt returns the delay law at temperature tempC.
+func (p Params) DelayAt(tempC float64) DelayLaw {
+	nomVth := p.VthAtTemp(p.VthNominal, p.TRatingC)
+	nomOver := p.VddNominal - nomVth
+	return DelayLaw{
+		tempC:        tempC,
+		vthTempCoeff: p.VthTempCoeff,
+		tRefC:        p.TRefC,
+		leffNominal:  p.LeffNominal,
+		alpha:        p.Alpha,
+		den:          p.VddNominal / math.Pow(nomOver, p.Alpha),
+		mobility:     math.Pow((p.TRatingC+273.15)/(tempC+273.15), 1.5),
+	}
+}
+
+// Delay returns the relative gate delay of a device with threshold vth
+// and effective length leff at supply v (see AlphaPowerDelay).
+func (d *DelayLaw) Delay(vth, leff, v float64) float64 {
+	vthT := vthAtTemp(vth, d.vthTempCoeff, d.tRefC, d.tempC)
+	overdrive := v - vthT
+	if overdrive <= 0.02 {
+		// The device no longer switches usefully; return a huge delay so
+		// callers treat this operating point as infeasible rather than
+		// dividing by zero.
+		return math.Inf(1)
+	}
+	num := (leff / d.leffNominal) * (v / math.Pow(overdrive, d.alpha))
+	return num / d.den / d.mobility
 }
 
 // AlphaPowerDelay returns the relative gate delay of a device with
@@ -137,22 +183,58 @@ func (p Params) VthAtTemp(vthRef, tempC float64) float64 {
 //	d ~ Leff * V / (V - Vth)^alpha
 //
 // with carrier mobility degrading as temperature rises (T^1.5 scattering),
-// which slows circuits at high temperature.
+// which slows circuits at high temperature. Callers that evaluate many
+// devices at one temperature build DelayAt once instead.
 func (p Params) AlphaPowerDelay(vth, leff, v, tempC float64) float64 {
-	vthT := p.VthAtTemp(vth, tempC)
-	overdrive := v - vthT
-	if overdrive <= 0.02 {
-		// The device no longer switches usefully; return a huge delay so
-		// callers treat this operating point as infeasible rather than
-		// dividing by zero.
-		return math.Inf(1)
+	d := p.DelayAt(tempC)
+	return d.Delay(vth, leff, v)
+}
+
+// LeakageLaw is the subthreshold leakage law with its Params-only terms
+// evaluated once: the nominal device's exp((-Vth+DIBL*V)/(n kT/q)) at
+// (VddNominal, TRefC) and TRefC squared in kelvin. Every thermal tick
+// evaluates leakage for every powered block, so this takes a block from
+// three math.Exp calls (factor and random uplift) to two.
+type LeakageLaw struct {
+	vthTempCoeff, tRefC float64
+	dibl, n, vddNominal float64
+	expRef              float64 // exp((-VthNominal+DIBL*VddNominal)/(n kT_ref/q))
+	tRefK2              float64 // (TRefC+273.15)^2
+}
+
+// Leakage returns the leakage law for p.
+func (p Params) Leakage() LeakageLaw {
+	vtRef := ThermalVoltage(p.TRefC)
+	vthRef := p.VthNominal
+	tRefK := p.TRefC + 273.15
+	return LeakageLaw{
+		vthTempCoeff: p.VthTempCoeff,
+		tRefC:        p.TRefC,
+		dibl:         p.DIBL,
+		n:            p.SubVtSlopeN,
+		vddNominal:   p.VddNominal,
+		expRef:       math.Exp((-vthRef + p.DIBL*p.VddNominal) / (p.SubVtSlopeN * vtRef)),
+		tRefK2:       tRefK * tRefK,
 	}
-	mobility := math.Pow((p.TRatingC+273.15)/(tempC+273.15), 1.5)
-	nomVth := p.VthAtTemp(p.VthNominal, p.TRatingC)
-	nomOver := p.VddNominal - nomVth
-	num := (leff / p.LeffNominal) * (v / math.Pow(overdrive, p.Alpha))
-	den := p.VddNominal / math.Pow(nomOver, p.Alpha)
-	return num / den / mobility
+}
+
+// Factor returns the relative subthreshold leakage current (see
+// LeakageFactor).
+func (l *LeakageLaw) Factor(vth, v, tempC float64) float64 {
+	vt := ThermalVoltage(tempC)
+	vthT := vthAtTemp(vth, l.vthTempCoeff, l.tRefC, tempC)
+	tK := tempC + 273.15
+	expTerm := math.Exp((-vthT+l.dibl*v)/(l.n*vt)) / l.expRef
+	// T^2 prefactor from the subthreshold current equation; linear V from
+	// the drain term.
+	return (tK * tK) / l.tRefK2 * (v / l.vddNominal) * expTerm
+}
+
+// RandomUplift returns the mean-leakage inflation from random Vth
+// variation (see RandomLeakageUplift).
+func (l *LeakageLaw) RandomUplift(sigmaVth, tempC float64) float64 {
+	s := l.n * ThermalVoltage(tempC)
+	return math.Exp(sigmaVth * sigmaVth / (2 * s * s))
 }
 
 // LeakageFactor returns the relative subthreshold leakage current of a
@@ -161,19 +243,11 @@ func (p Params) AlphaPowerDelay(vth, leff, v, tempC float64) float64 {
 // three dependences that drive the paper's core-to-core power variation:
 // exponential growth as Vth drops, exponential growth with temperature
 // (both through kT/q and the Vth temperature coefficient), and
-// DIBL-mediated supply dependence.
+// DIBL-mediated supply dependence. Callers that evaluate many devices
+// build Leakage once instead.
 func (p Params) LeakageFactor(vth, v, tempC float64) float64 {
-	vt := ThermalVoltage(tempC)
-	vtRef := ThermalVoltage(p.TRefC)
-	vthT := p.VthAtTemp(vth, tempC)
-	vthRef := p.VthNominal
-	tK := tempC + 273.15
-	tRefK := p.TRefC + 273.15
-	expTerm := math.Exp((-vthT+p.DIBL*v)/(p.SubVtSlopeN*vt)) /
-		math.Exp((-vthRef+p.DIBL*p.VddNominal)/(p.SubVtSlopeN*vtRef))
-	// T^2 prefactor from the subthreshold current equation; linear V from
-	// the drain term.
-	return (tK * tK) / (tRefK * tRefK) * (v / p.VddNominal) * expTerm
+	l := p.Leakage()
+	return l.Factor(vth, v, tempC)
 }
 
 // RandomLeakageUplift returns the factor by which within-die random Vth
@@ -187,6 +261,6 @@ func (p Params) LeakageFactor(vth, v, tempC float64) float64 {
 // This is the mechanism by which variation increases total chip leakage
 // (paper Section 3).
 func (p Params) RandomLeakageUplift(sigmaVth, tempC float64) float64 {
-	s := p.SubVtSlopeN * ThermalVoltage(tempC)
-	return math.Exp(sigmaVth * sigmaVth / (2 * s * s))
+	l := p.Leakage()
+	return l.RandomUplift(sigmaVth, tempC)
 }
