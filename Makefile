@@ -55,7 +55,7 @@ benchtest:
 # ci is the full gate: vet, build, race-enabled tests (includes the
 # golden-file experiment test), the benchmark module's tests, the
 # coverage gate, the fuzz targets (lp, anneal, shard codec, WAL record,
-# config hash, LU solve, RNG stream) run for 10s each, and a benchmark pass of the
+# config hash, LU solve, RNG stream, FFT prefix) run for 10s each, and a benchmark pass of the
 # hot-path micro-benchmarks compared against the newest committed
 # BENCH_*.json — more than 20% ns/op regression fails. Benchmark
 # baselines are machine-specific: refresh with `make benchsnap` when the
@@ -72,6 +72,7 @@ fuzzseed:
 	$(GO) test -fuzz FuzzConfigHash -fuzztime 10s ./internal/diecache
 	$(GO) test -fuzz FuzzLUSolve -fuzztime 10s ./internal/linsolve
 	$(GO) test -fuzz FuzzRNGStream -fuzztime 10s ./internal/stats
+	$(GO) test -fuzz FuzzForwardPrefix -fuzztime 10s ./internal/fft
 
 # cover prints per-package statement coverage and fails if any of the
 # gated packages (the concurrency- and protocol-heavy ones, the die

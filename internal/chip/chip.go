@@ -55,11 +55,6 @@ type Chip struct {
 	// the same *Chip to every job that wants the same die).
 	stepMu   sync.Mutex
 	steppers map[float64]*thermal.Transient
-	// evalPool recycles per-evaluation scratch buffers so the DVFS inner
-	// loop's chip evaluations do not allocate per call; pooling (rather
-	// than a single buffer set) keeps concurrent evaluations of a shared
-	// die safe.
-	evalPool sync.Pool
 }
 
 // evalScratch is one evaluation's worth of reusable buffers.
@@ -68,11 +63,24 @@ type evalScratch struct {
 	fps                *thermal.FixedPointScratch
 }
 
+// evalScratches recycles per-evaluation scratch buffers so the DVFS inner
+// loop's chip evaluations do not allocate per call; pooling (rather than
+// a single buffer set) keeps concurrent evaluations of a shared die safe.
+// The pool is one for the package, not a field of each Chip: a used
+// sync.Pool stays on the runtime's pool list until two collections have
+// passed, so a pool held by a Chip would keep the whole die reachable
+// that long after its last use.
+var evalScratches sync.Pool
+
+// getScratch returns pooled scratch sized for c, or fresh scratch if the
+// pool has none of that size. Chips of different floorplans share the
+// pool; the thermal scratch is sized by the block count too, since the
+// thermal network has one node per block.
 func (c *Chip) getScratch() *evalScratch {
-	if sc, ok := c.evalPool.Get().(*evalScratch); ok {
+	nb := len(c.FP.Blocks)
+	if sc, ok := evalScratches.Get().(*evalScratch); ok && len(sc.dyn) == nb && len(sc.coreDyn) == c.NumCores() {
 		return sc
 	}
-	nb := len(c.FP.Blocks)
 	return &evalScratch{
 		dyn:     make([]float64, nb),
 		coreDyn: make([]float64, c.NumCores()),
@@ -326,7 +334,7 @@ func (c *Chip) leakInto(leak []float64, states []CoreState, temps []float64) []f
 // leakage-temperature fixed point for the static power.
 func (c *Chip) Evaluate(states []CoreState, cpu *cpusim.Model) (*EvalResult, error) {
 	sc := c.getScratch()
-	defer c.evalPool.Put(sc)
+	defer evalScratches.Put(sc)
 	coreIPC, err := c.assembleDynamic(sc.dyn, sc.coreDyn, states, cpu)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,10 @@ package chip
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"vasched/internal/cpusim"
 	"vasched/internal/delay"
@@ -415,5 +417,33 @@ func TestCoreStaticCachedMatchesPowerModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEvaluatedChipCollectedByFirstGC checks that evaluating a die leaves
+// nothing that keeps it alive: the first collection after the chip's last
+// use must find it unreachable. A sync.Pool held by the chip would fail
+// this, since a used pool stays on the runtime's pool list, and keeps
+// what holds it reachable, until two collections have passed.
+func TestEvaluatedChipCollectedByFirstGC(t *testing.T) {
+	base, cpu := testChip(t)
+	collected := make(chan struct{})
+	func() {
+		c, err := Build(base.Maps, base.FP, delay.DefaultConfig(), base.Power, thermal.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.OffStates()
+		st[2] = CoreState{App: workload.SPEC()[0], V: 1.0, F: c.FmaxNominal(2)}
+		if _, err := c.Evaluate(st, cpu); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(c, func(*Chip) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an evaluated chip outlived the first collection after its last use")
 	}
 }

@@ -1,8 +1,18 @@
-// Package fft implements radix-2 complex fast Fourier transforms in one and
-// two dimensions. It exists to support circulant-embedding sampling of
-// Gaussian random fields in package grf; the API is therefore minimal but
-// the transforms are exact (up to floating point) and unit-normalised so
-// that Inverse(Forward(x)) == x.
+// Package fft implements complex fast Fourier transforms of power-of-two
+// sizes in one and two dimensions. It exists to support circulant-embedding
+// sampling of Gaussian random fields in package grf; the API is therefore
+// minimal but the transforms are exact (up to floating point) and
+// unit-normalised so that Inverse(Forward(x)) == x.
+//
+// Every transform is the decimation-in-time Cooley-Tukey network of
+// radix-2 butterflies, but the kernel passes over the data fewer times
+// than one pass per stage: consecutive stages run in pairs as one radix-2²
+// pass over four points, the first pass reads its inputs at bit-reversed
+// positions instead of a pass of its own permuting them, and a 2-D
+// transform's column stage runs its butterflies along whole rows. Each
+// output is still the expression of its radix-2 butterfly, with the same
+// operands in the same order, so the results are those of the plain
+// one-stage-per-pass loop bit for bit.
 package fft
 
 import (
@@ -15,10 +25,11 @@ import (
 
 // pointsTransformed counts butterfly outputs written by every transform in
 // the process: a full n-point FFT adds n*log2(n), a prefix-pruned one adds
-// only what it computed. One atomic add per 1-D transform keeps the cost
-// invisible next to the butterflies themselves. The batched die pipeline's
-// speedup gate reads this to prove — deterministically, immune to
-// wall-clock noise — how much transform work pruning removes per die.
+// only the outputs its kept prefix needs. One atomic add per transform
+// keeps the cost invisible next to the butterflies themselves. The batched
+// die pipeline's speedup gate reads this to prove — deterministically,
+// immune to wall-clock noise — how much transform work pruning removes per
+// die.
 var pointsTransformed atomic.Int64
 
 // PointsTransformed returns the cumulative butterfly-output count.
@@ -50,11 +61,28 @@ func Inverse(x []complex128) error {
 	if err := transform(x, +1); err != nil {
 		return err
 	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
+	normalise(x, len(x))
 	return nil
+}
+
+// transform computes the whole transform of x in place, reading the
+// input from a copy.
+func transform(x []complex128, sign float64) error {
+	n := len(x)
+	if !IsPow2(n) {
+		return fmt.Errorf("fft: length %d is not a power of two", n)
+	}
+	prefix(x, append([]complex128(nil), x...), n, sign)
+	pointsTransformed.Add(outputs(n, n))
+	return nil
+}
+
+// normalise divides every entry of x by n.
+func normalise(x []complex128, n int) {
+	d := complex(float64(n), 0)
+	for i := range x {
+		x[i] /= d
+	}
 }
 
 // twiddleKey identifies one cached twiddle-table set.
@@ -97,190 +125,265 @@ func stageTwiddles(n int, sign float64) [][]complex128 {
 	return v.([][]complex128)
 }
 
-// bitrevCache holds, per length, the swap pairs of the bit-reversal
-// permutation, so the per-element Reverse64 arithmetic is paid once per
-// size instead of per transform.
-var bitrevCache sync.Map // int -> [][2]int32
+// revCache holds, per length, the bit-reversal permutation as an index
+// table, so the per-index Reverse64 arithmetic is paid once per size
+// instead of per transform.
+var revCache sync.Map // int -> []int32
 
-func bitrevPairs(n int) [][2]int32 {
-	if v, ok := bitrevCache.Load(n); ok {
-		return v.([][2]int32)
+// bitrev returns the n-point bit-reversal table: entry i is i with its
+// log2(n) low bits in reverse order.
+func bitrev(n int) []int32 {
+	if v, ok := revCache.Load(n); ok {
+		return v.([]int32)
 	}
 	shift := 64 - uint(bits.Len(uint(n-1)))
-	pairs := make([][2]int32, 0, n/2)
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			pairs = append(pairs, [2]int32{int32(i), int32(j)})
-		}
+	rev := make([]int32, n)
+	for i := range rev {
+		rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 	}
-	v, _ := bitrevCache.LoadOrStore(n, pairs)
-	return v.([][2]int32)
+	v, _ := revCache.LoadOrStore(n, rev)
+	return v.([]int32)
 }
 
-// transform performs the iterative Cooley-Tukey butterfly with the given
-// sign in the twiddle exponent.
-func transform(x []complex128, sign float64) error {
-	n := len(x)
-	if !IsPow2(n) {
-		return fmt.Errorf("fft: length %d is not a power of two", n)
-	}
-	// Bit-reversal permutation.
-	for _, p := range bitrevPairs(n) {
-		x[p[0]], x[p[1]] = x[p[1]], x[p[0]]
-	}
-	tables := stageTwiddles(n, sign)
-	for si, size := 0, 2; size <= n; si, size = si+1, size<<1 {
-		half := size / 2
-		t := tables[si]
-		// Butterflies within a stage touch disjoint index pairs, so either
-		// loop order computes bit-identical results. Early stages have many
-		// tiny blocks: iterating the twiddle index outermost there amortises
-		// the loop bookkeeping that would otherwise dominate.
-		if half <= 16 {
-			for k := 0; k < half; k++ {
-				w := t[k]
-				for i := k; i < n; i += size {
-					a := x[i]
-					b := x[i+half] * w
-					x[i] = a + b
-					x[i+half] = a - b
-				}
-			}
-			continue
-		}
-		for start := 0; start < n; start += size {
-			lo := x[start : start+half : start+half]
-			hi := x[start+half : start+size : start+size]
-			for k, w := range t {
-				a := lo[k]
-				b := hi[k] * w
-				lo[k] = a + b
-				hi[k] = a - b
-			}
-		}
-	}
-	pointsTransformed.Add(int64(n) * int64(bits.Len(uint(n))-1))
-	return nil
-}
-
-// forwardPrefix computes the forward DFT of x but guarantees only the
-// first keep outputs; positions keep..n-1 are left as garbage. A needed
-// output at index k < keep of a stage's block requires only the first
-// min(keep, half) entries of each half-size sub-block, so stages larger
-// than keep can skip the a-b butterfly outputs (and, past the midpoint,
-// whole butterflies) that nothing downstream reads. Every value that IS
-// produced comes from exactly the expression the full transform runs, so
-// the kept prefix is bit-for-bit identical to Forward's.
-func forwardPrefix(x []complex128, keep int) error {
-	n := len(x)
+// outputs returns the butterfly outputs an n-point transform needs for
+// its first keep outputs: n per stage whose blocks fit in keep, and in a
+// larger stage, per block, both outputs of the butterflies below keep−half
+// and the sum output of those below min(keep, half). It is what
+// PointsTransformed counts.
+func outputs(n, keep int) int64 {
 	if keep >= n {
-		return Forward(x)
+		return int64(n) * int64(bits.Len(uint(n))-1)
 	}
-	if !IsPow2(n) {
-		return fmt.Errorf("fft: length %d is not a power of two", n)
-	}
-	if keep <= 0 {
-		return nil
-	}
-	for _, p := range bitrevPairs(n) {
-		x[p[0]], x[p[1]] = x[p[1]], x[p[0]]
-	}
-	tables := stageTwiddles(n, -1)
 	var outs int64
-	for si, size := 0, 2; size <= n; si, size = si+1, size<<1 {
+	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		t := tables[si]
 		if keep >= size {
 			outs += int64(n)
-			// Every output of this stage feeds a needed value: run the
-			// stage exactly as the full transform does.
-			if half <= 16 {
-				for k := 0; k < half; k++ {
-					w := t[k]
-					for i := k; i < n; i += size {
-						a := x[i]
-						b := x[i+half] * w
-						x[i] = a + b
-						x[i+half] = a - b
-					}
-				}
-				continue
-			}
-			for start := 0; start < n; start += size {
-				lo := x[start : start+half : start+half]
-				hi := x[start+half : start+size : start+size]
-				for k, w := range t {
-					a := lo[k]
-					b := hi[k] * w
-					lo[k] = a + b
-					hi[k] = a - b
-				}
-			}
 			continue
 		}
-		// Pruned stage: per block, butterflies below fullK need both
-		// outputs, those below sumK need only the a+b side, the rest feed
-		// nothing that survives to the kept prefix.
-		fullK := keep - half
-		if fullK < 0 {
-			fullK = 0
+		outs += int64(n/size) * int64(max(keep-half, 0)+min(keep, half))
+	}
+	return outs
+}
+
+// passKind names the three shapes of pass a transform is built from. A
+// pass over stage s works on blocks of 2^(s+1) points (pair passes: two
+// stages, blocks of 2^(s+2)), and h = 2^s is the distance between the two
+// inputs of each of stage s's butterflies.
+type passKind uint8
+
+const (
+	// pair runs stages s and s+1 whole as one radix-2² pass. For each k <
+	// h, the points k, k+h, k+2h and k+3h of a block go through stage
+	// s's butterflies (k, k+h) and (k+2h, k+3h), both with twiddle
+	// t_s[k], then through stage s+1's (k, k+2h) with t_{s+1}[k] and
+	// (k+h, k+3h) with t_{s+1}[k+h].
+	pair passKind = iota
+	// single runs stage s alone and computes, in each block, both outputs
+	// of the butterflies below keep−h and the sum output of those below
+	// min(keep, h): every output of a whole stage, the needed ones of the
+	// one stage whose half-block is shorter than the kept prefix.
+	single
+	// sumPair runs stages s and s+1 whose half-blocks both hold at least
+	// keep points: of each block only the first keep sums are needed,
+	// which for k < keep is (x_k + x_{k+h}·t_s[k]) + (x_{k+2h} +
+	// x_{k+3h}·t_s[k])·t_{s+1}[k].
+	sumPair
+)
+
+// eachPass calls do for every pass of an n-point transform that keeps its
+// first keep outputs (keep >= 1), in stage order. Stages whose blocks fit
+// in keep run whole, in pairs, the last one alone if their number is
+// odd; stages 0 and 1 always run whole, which for keep < 4 computes a few
+// outputs nothing reads. Of the larger stages, the one whose half-block
+// is shorter than keep (only when keep is not a power of two) runs alone
+// and the others in sum-only pairs, again the last one alone if their
+// number is odd.
+func eachPass(n, keep int, do func(kind passKind, s int)) {
+	stages := bits.Len(uint(n)) - 1
+	full := stages
+	if keep < n {
+		full = max(bits.Len(uint(keep))-1, min(2, stages))
+	}
+	s := 0
+	for ; s+1 < full; s += 2 {
+		do(pair, s)
+	}
+	if s < full {
+		do(single, s)
+		s++
+	}
+	if s < stages && keep > 1<<s {
+		do(single, s)
+		s++
+	}
+	for ; s+1 < stages; s += 2 {
+		do(sumPair, s)
+	}
+	if s < stages {
+		do(single, s)
+	}
+}
+
+// prefix computes into x the first keep outputs of the n-point transform
+// of src (n = len(x) = len(src), a power of two); the rest of x is
+// garbage. The first pass reads src at bit-reversed positions and every
+// later pass works in place on x, so src is only read and must not
+// overlap x.
+func prefix(x, src []complex128, keep int, sign float64) {
+	n := len(x)
+	if keep <= 0 {
+		return
+	}
+	if n < 4 {
+		copy(x, src) // the bit reversal of one or two points is the identity
+	}
+	tw := stageTwiddles(n, sign)
+	eachPass(n, keep, func(kind passKind, s int) {
+		h := 1 << s
+		switch {
+		case kind == pair && s == 0:
+			first4(x, src, bitrev(n), tw[0], tw[1])
+		case kind == pair:
+			pass4(x, h, tw[s], tw[s+1])
+		case kind == single:
+			pass2(x, h, keep, tw[s])
+		default:
+			sum4(x, h, keep, tw[s], tw[s+1])
 		}
-		sumK := keep
-		if sumK > half {
-			sumK = half
-		}
-		outs += int64(n/size) * int64(fullK+sumK)
-		for start := 0; start < n; start += size {
-			lo := x[start : start+half : start+half]
-			hi := x[start+half : start+size : start+size]
-			for k := 0; k < fullK; k++ {
-				a := lo[k]
-				b := hi[k] * t[k]
-				lo[k] = a + b
-				hi[k] = a - b
-			}
-			for k := fullK; k < sumK; k++ {
-				lo[k] = lo[k] + hi[k]*t[k]
-			}
+	})
+}
+
+// bf2 is the radix-2 butterfly: with v = b·w it returns a+v and a−v.
+// Every kernel computes each butterfly output through it (or, where only
+// the sum is needed, as a + b·w), so every output is the expression the
+// one-stage-per-pass loop computed, with the same operands.
+func bf2(a, b, w complex128) (complex128, complex128) {
+	v := b * w
+	return a + v, a - v
+}
+
+// first4 runs stages 0 and 1 of an n-point transform (n >= 4) as one pair
+// pass from src into x. Output group m (points 4m..4m+3) takes its inputs
+// from the bit-reversed positions of 4m..4m+3, which are R, R+2q, R+q and
+// R+3q for q = n/4 and R the (log2(n)−2)-bit reversal of m. Walking R in
+// order reads src as four sequential streams, and the group it feeds
+// starts at rev[R] = 4m.
+func first4(x, src []complex128, rev []int32, t0, t1 []complex128) {
+	q := len(x) / 4
+	w0, w1, w2 := t0[0], t1[0], t1[1]
+	s0 := src[:q]
+	s1, s2, s3 := src[q:2*q], src[2*q:3*q], src[3*q:4*q]
+	s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
+	for r, p := range rev[:len(s0)] {
+		o := (*[4]complex128)(x[p : p+4])
+		y0, y1 := bf2(s0[r], s2[r], w0)
+		y2, y3 := bf2(s1[r], s3[r], w0)
+		o[0], o[2] = bf2(y0, y2, w1)
+		o[1], o[3] = bf2(y1, y3, w2)
+	}
+}
+
+// pass4 runs stages s and s+1 (h = 2^s) of the transform in x as one pair
+// pass.
+func pass4(x []complex128, h int, ta, tb []complex128) {
+	n := len(x)
+	for b := 0; b < n; b += 4 * h {
+		x0 := x[b : b+h : b+h]
+		x1, x2, x3 := x[b+h:b+2*h], x[b+2*h:b+3*h], x[b+3*h:b+4*h]
+		x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+		ta, tlo, thi := ta[:len(x0)], tb[:len(x0)], tb[h:][:len(x0)]
+		for k := range x0 {
+			y0, y1 := bf2(x0[k], x1[k], ta[k])
+			y2, y3 := bf2(x2[k], x3[k], ta[k])
+			x0[k], x2[k] = bf2(y0, y2, tlo[k])
+			x1[k], x3[k] = bf2(y1, y3, thi[k])
 		}
 	}
-	pointsTransformed.Add(outs)
-	return nil
+}
+
+// pass2 runs stage s (h = 2^s) of the transform in x alone, computing the
+// outputs a transform keeping keep outputs needs (a single pass).
+func pass2(x []complex128, h, keep int, t []complex128) {
+	n := len(x)
+	full, sum := min(max(keep-h, 0), h), min(keep, h)
+	t = t[:sum]
+	for b := 0; b < n; b += 2 * h {
+		lo := x[b : b+sum : b+sum]
+		hi := x[b+h : b+h+sum][:len(lo)]
+		for k := range lo[:full] {
+			lo[k], hi[k] = bf2(lo[k], hi[k], t[k])
+		}
+		for k := full; k < len(lo); k++ {
+			lo[k] = lo[k] + hi[k]*t[k]
+		}
+	}
+}
+
+// sum4 runs stages s and s+1 (h = 2^s >= keep) of the transform in x as
+// one sum-only pair pass, leaving the first keep sums of each block.
+func sum4(x []complex128, h, keep int, ta, tb []complex128) {
+	n := len(x)
+	ta, tb = ta[:keep], tb[:keep]
+	for b := 0; b < n; b += 4 * h {
+		x0 := x[b : b+keep : b+keep]
+		x1, x2, x3 := x[b+h:b+h+keep], x[b+2*h:b+2*h+keep], x[b+3*h:b+3*h+keep]
+		x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+		for k := range x0 {
+			y0 := x0[k] + x1[k]*ta[k]
+			y2 := x2[k] + x3[k]*ta[k]
+			x0[k] = y0 + y2*tb[k]
+		}
+	}
 }
 
 // Forward2D computes the forward DFT of an rows×cols matrix stored
 // row-major in x. Both dimensions must be powers of two.
 func Forward2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, Forward)
+	return transform2D(x, rows, cols, -1)
 }
 
 // Inverse2D computes the inverse DFT (normalised) of an rows×cols matrix
 // stored row-major in x.
 func Inverse2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, Inverse)
+	return transform2D(x, rows, cols, +1)
 }
 
-// ForwardRegion2D computes the forward DFT of an rows×cols matrix but
-// materialises only the top-left keepRows×keepCols corner of the result,
-// written back in place. It is ForwardRegionRows over the rows of x;
-// values outside the region must be treated as garbage.
-func ForwardRegion2D(x []complex128, rows, cols, keepRows, keepCols int) error {
+// transform2D transforms every row of x, storing the result of row r at
+// row rev(r), the bit-reversed index, then runs the column stage. Rows r
+// and rev(r) trade places, so both are copied into a two-row buffer
+// before either is overwritten. An inverse divides by cols after the row
+// stage and by rows after the column stage, as two 1-D Inverse calls do.
+func transform2D(x []complex128, rows, cols int, sign float64) error {
 	if len(x) != rows*cols {
 		return fmt.Errorf("fft: matrix buffer has %d elements, want %d", len(x), rows*cols)
 	}
-	if keepRows < 0 || keepRows > rows || keepCols < 0 || keepCols > cols {
-		return fmt.Errorf("fft: region %dx%d outside matrix %dx%d", keepRows, keepCols, rows, cols)
+	if !IsPow2(rows) || !IsPow2(cols) {
+		return fmt.Errorf("fft: dimensions %dx%d are not powers of two", rows, cols)
 	}
-	dst := make([]complex128, rows*keepCols)
-	err := ForwardRegionRows(dst, make([]complex128, cols), rows, cols, keepRows, keepCols,
-		func(r int, row []complex128) { copy(row, x[r*cols:(r+1)*cols]) })
-	if err != nil {
-		return err
+	buf := make([]complex128, 2*cols)
+	a, b := buf[:cols], buf[cols:]
+	for r, p := range bitrev(rows) {
+		q := int(p)
+		if q < r {
+			continue
+		}
+		xr, xq := x[r*cols:(r+1)*cols], x[q*cols:(q+1)*cols]
+		copy(a, xr)
+		copy(b, xq)
+		prefix(xq, a, cols, sign)
+		if q != r {
+			prefix(xr, b, cols, sign)
+		}
 	}
-	for r := 0; r < keepRows; r++ {
-		copy(x[r*cols:r*cols+keepCols], dst[r*keepCols:(r+1)*keepCols])
+	if sign > 0 {
+		normalise(x, cols)
 	}
+	colStage(x, rows, cols, rows, sign)
+	if sign > 0 {
+		normalise(x, rows)
+	}
+	pointsTransformed.Add(int64(rows)*outputs(cols, cols) + int64(cols)*outputs(rows, rows))
 	return nil
 }
 
@@ -288,10 +391,12 @@ func ForwardRegion2D(x []complex128, rows, cols, keepRows, keepCols int) error {
 // forward DFT of an rows×cols matrix whose rows are streamed rather than
 // stored: fill writes input row r into row (caller-owned scratch of
 // length cols), for r = 0..rows-1 in order. Each row is prefix-
-// transformed there and only its first keepCols outputs (the only ones
-// the column stage reads) are kept, in dst with row stride keepCols; the
-// column stage then runs on that compact rows×keepCols buffer. On return
-// the first keepRows rows of dst hold the corner and the rest is garbage.
+// transformed from there and only its first keepCols outputs (the only
+// ones the column stage reads) are kept, in dst with row stride keepCols
+// and at the bit-reversed row index, which is the order the column
+// stage's first pass reads; the column stage then runs on that compact
+// rows×keepCols buffer. On return the first keepRows rows of dst hold the
+// corner and the rest is garbage.
 //
 // Every value the corner depends on comes from exactly the expression the
 // full Forward2D runs, so the corner is bit-for-bit identical to
@@ -308,72 +413,100 @@ func ForwardRegionRows(dst, row []complex128, rows, cols, keepRows, keepCols int
 	if len(dst) != rows*keepCols || len(row) != cols {
 		return fmt.Errorf("fft: buffers of %d and %d elements, want %d and %d", len(dst), len(row), rows*keepCols, cols)
 	}
-	for r := 0; r < rows; r++ {
+	work := make([]complex128, cols)
+	for r, p := range bitrev(rows) {
 		fill(r, row)
-		if err := forwardPrefix(row, keepCols); err != nil {
-			return err
-		}
-		copy(dst[r*keepCols:(r+1)*keepCols], row)
+		prefix(work, row, keepCols, -1)
+		q := int(p) * keepCols
+		copy(dst[q:q+keepCols], work)
 	}
-	return columns(dst, rows, keepCols, keepRows, func(col []complex128) error { return forwardPrefix(col, keepRows) })
-}
-
-// colScratch recycles the column-block buffer of the 2-D transforms so
-// steady-state callers (the grf samplers) allocate nothing per transform.
-var colScratch = sync.Pool{New: func() any { return []complex128(nil) }}
-
-// colBlock is how many columns are gathered per pass: each cache line of
-// the matrix holds 4 complex128s, so gathering 4 adjacent columns at once
-// fetches every line exactly once, and the 4-column buffer stays hot.
-const colBlock = 4
-
-// transform2D applies tf to every row, then to every column.
-func transform2D(x []complex128, rows, cols int, tf func([]complex128) error) error {
-	if len(x) != rows*cols {
-		return fmt.Errorf("fft: matrix buffer has %d elements, want %d", len(x), rows*cols)
-	}
-	if !IsPow2(rows) || !IsPow2(cols) {
-		return fmt.Errorf("fft: dimensions %dx%d are not powers of two", rows, cols)
-	}
-	for r := 0; r < rows; r++ {
-		if err := tf(x[r*cols : (r+1)*cols]); err != nil {
-			return err
-		}
-	}
-	return columns(x, rows, cols, rows, tf)
-}
-
-// columns applies tf to every column of the rows×cols matrix x, scattering
-// back only the first keepRows entries of each. Columns are gathered
-// colBlock at a time into a contiguous buffer; the per-column data and
-// transform are exactly those of a one-column gather, so results are
-// bit-for-bit independent of the blocking.
-func columns(x []complex128, rows, cols, keepRows int, tf func([]complex128) error) error {
-	sc := colScratch.Get().([]complex128)
-	if cap(sc) < colBlock*rows {
-		sc = make([]complex128, colBlock*rows)
-	}
-	sc = sc[:colBlock*rows]
-	defer colScratch.Put(sc)
-	for c0 := 0; c0 < cols; c0 += colBlock {
-		cb := min(colBlock, cols-c0)
-		for r := 0; r < rows; r++ {
-			base := r*cols + c0
-			for j := 0; j < cb; j++ {
-				sc[j*rows+r] = x[base+j]
-			}
-		}
-		for j := 0; j < cb; j++ {
-			if err := tf(sc[j*rows : (j+1)*rows]); err != nil {
-				return err
-			}
-		}
-		for r := 0; r < keepRows; r++ {
-			base := r*cols + c0
-			for j := 0; j < cb; j++ {
-				x[base+j] = sc[j*rows+r]
-			}
-		}
-	}
+	colStage(dst, rows, keepCols, keepRows, -1)
+	pointsTransformed.Add(int64(rows)*outputs(cols, keepCols) + int64(keepCols)*outputs(rows, keepRows))
 	return nil
+}
+
+// colStage runs the column transforms of the rows×w matrix m, whose rows
+// hold the row stage's results at bit-reversed row indices, and leaves
+// the first keep outputs of every column in the first keep rows. Every
+// butterfly of the column stage pairs two whole rows with one twiddle,
+// so each pass runs its butterflies along rows: the same operands as one
+// column transform at a time, with sequential access and no gather.
+func colStage(m []complex128, rows, w, keep int, sign float64) {
+	if w == 0 || keep <= 0 {
+		return
+	}
+	tw := stageTwiddles(rows, sign)
+	eachPass(rows, keep, func(kind passKind, s int) {
+		h := 1 << s
+		switch kind {
+		case pair:
+			pass4Rows(m, w, h, tw[s], tw[s+1])
+		case single:
+			pass2Rows(m, w, h, keep, tw[s])
+		default:
+			sum4Rows(m, w, h, keep, tw[s], tw[s+1])
+		}
+	})
+}
+
+// pass4Rows is pass4 on the rows of the row-major matrix m of width w.
+func pass4Rows(m []complex128, w, h int, ta, tb []complex128) {
+	rows := len(m) / w
+	for b := 0; b < rows; b += 4 * h {
+		for k := 0; k < h; k++ {
+			i := (b + k) * w
+			r0 := m[i : i+w : i+w]
+			r1, r2, r3 := m[i+h*w:], m[i+2*h*w:], m[i+3*h*w:]
+			r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+			w1, w2, w3 := ta[k], tb[k], tb[h+k]
+			for c := range r0 {
+				y0, y1 := bf2(r0[c], r1[c], w1)
+				y2, y3 := bf2(r2[c], r3[c], w1)
+				r0[c], r2[c] = bf2(y0, y2, w2)
+				r1[c], r3[c] = bf2(y1, y3, w3)
+			}
+		}
+	}
+}
+
+// pass2Rows is pass2 on the rows of the row-major matrix m of width w.
+func pass2Rows(m []complex128, w, h, keep int, t []complex128) {
+	rows := len(m) / w
+	full, sum := min(max(keep-h, 0), h), min(keep, h)
+	for b := 0; b < rows; b += 2 * h {
+		for k := 0; k < sum; k++ {
+			i := (b + k) * w
+			lo := m[i : i+w : i+w]
+			hi := m[i+h*w:][:len(lo)]
+			tk := t[k]
+			if k < full {
+				for c := range lo {
+					lo[c], hi[c] = bf2(lo[c], hi[c], tk)
+				}
+				continue
+			}
+			for c := range lo {
+				lo[c] = lo[c] + hi[c]*tk
+			}
+		}
+	}
+}
+
+// sum4Rows is sum4 on the rows of the row-major matrix m of width w.
+func sum4Rows(m []complex128, w, h, keep int, ta, tb []complex128) {
+	rows := len(m) / w
+	for b := 0; b < rows; b += 4 * h {
+		for k := 0; k < keep; k++ {
+			i := (b + k) * w
+			r0 := m[i : i+w : i+w]
+			r1, r2, r3 := m[i+h*w:], m[i+2*h*w:], m[i+3*h*w:]
+			r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+			w1, w2 := ta[k], tb[k]
+			for c := range r0 {
+				y0 := r0[c] + r1[c]*w1
+				y2 := r2[c] + r3[c]*w1
+				r0[c] = y0 + y2*w2
+			}
+		}
+	}
 }

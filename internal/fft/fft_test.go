@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -207,24 +208,60 @@ func TestLinearityProperty(t *testing.T) {
 	}
 }
 
+// The benchmarks copy a fixed input into the transform buffer before every
+// transform: transforming one buffer in place again and again grows its
+// entries until every one is non-finite (from about the 200th call at
+// 1,024 points), and would time NaN arithmetic.
+
 func BenchmarkForward1K(b *testing.B) {
-	x := make([]complex128, 1024)
-	for i := range x {
-		x[i] = complex(float64(i%7), float64(i%3))
+	in := make([]complex128, 1024)
+	for i := range in {
+		in[i] = complex(float64(i%7), float64(i%3))
 	}
+	x := make([]complex128, len(in))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		copy(x, in)
 		_ = Forward(x)
 	}
 }
 
 func BenchmarkForward2D256(b *testing.B) {
-	x := make([]complex128, 256*256)
-	for i := range x {
-		x[i] = complex(float64(i%13), 0)
+	in := make([]complex128, 256*256)
+	for i := range in {
+		in[i] = complex(float64(i%13), 0)
 	}
+	x := make([]complex128, len(in))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		copy(x, in)
 		_ = Forward2D(x, 256, 256)
+	}
+}
+
+// BenchmarkForwardRegionRows times the die sampler's transform: an n×n
+// torus streamed row by row and cut to its (n/4)×(n/4) corner, at the
+// paper's map resolution (1024² to 256²) and the quick one (512² to
+// 128²). The fill copies a fixed row, where the sampler draws noise.
+func BenchmarkForwardRegionRows(b *testing.B) {
+	for _, n := range []int{1024, 512} {
+		b.Run(fmt.Sprintf("%dto%d", n, n/4), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			in := make([]complex128, n)
+			for i := range in {
+				in[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			dst, row := make([]complex128, n*n/4), make([]complex128, n)
+			fill := func(r int, row []complex128) { copy(row, in) }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ForwardRegionRows(dst, row, n, n, n/4, n/4, fill); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
