@@ -1,6 +1,8 @@
-# Development targets for the vasched repository. The repo is pure Go
-# with no dependencies outside the standard library, so everything here
-# is just the go tool.
+# Development targets for the vasched repository. The repo is Go with no
+# dependencies outside the standard library, so everything here is just
+# the go tool. Its one piece of assembly is internal/fft's AVX butterfly
+# kernels (avx_amd64.s); every other architecture, and every race build,
+# runs the Go loops they stand in for.
 
 GO ?= go
 
@@ -14,8 +16,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also vets the tree as arm64 sees it, so that a build constraint
+# that leaves a non-amd64 build without a symbol fails here.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # lint mirrors the hosted lint job: vet plus the pinned external
 # analysers (versions must match .github/workflows/ci.yml). `go run`

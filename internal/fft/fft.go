@@ -1,8 +1,9 @@
-// Package fft implements complex fast Fourier transforms of power-of-two
-// sizes in one and two dimensions. It exists to support circulant-embedding
-// sampling of Gaussian random fields in package grf; the API is therefore
-// minimal but the transforms are exact (up to floating point) and
-// unit-normalised so that Inverse(Forward(x)) == x.
+// Package fft implements the forward complex fast Fourier transforms of
+// power-of-two sizes that circulant-embedding sampling of Gaussian random
+// fields in package grf needs: a whole 2-D transform (Forward2D) and the
+// top-left corner of one whose rows are streamed (ForwardRegionRows). The
+// transforms are unnormalised, X[k] = sum_j x[j] exp(-2πi jk/n) along
+// each dimension.
 //
 // Every transform is the decimation-in-time Cooley-Tukey network of
 // radix-2 butterflies, but the kernel passes over the data fewer times
@@ -12,10 +13,13 @@
 // transform's column stage runs its butterflies along whole rows. Each
 // output is still the expression of its radix-2 butterfly, with the same
 // operands in the same order, so the results are those of the plain
-// one-stage-per-pass loop bit for bit.
+// one-stage-per-pass loop bit for bit. On amd64 the five pair passes run
+// on AVX kernels, two butterflies per register with exactly the Go loops'
+// operations in each lane (avx_amd64.go); the Go loops are the fallback.
 package fft
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -49,69 +53,26 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n))
 }
 
-// Forward computes the in-place forward DFT of x, whose length must be a
-// power of two. The convention is X[k] = sum_j x[j] exp(-2πi jk/n).
-func Forward(x []complex128) error {
-	return transform(x, -1)
-}
-
-// Inverse computes the in-place inverse DFT of x (including the 1/n
-// normalisation), whose length must be a power of two.
-func Inverse(x []complex128) error {
-	if err := transform(x, +1); err != nil {
-		return err
-	}
-	normalise(x, len(x))
-	return nil
-}
-
-// transform computes the whole transform of x in place, reading the
-// input from a copy.
-func transform(x []complex128, sign float64) error {
-	n := len(x)
-	if !IsPow2(n) {
-		return fmt.Errorf("fft: length %d is not a power of two", n)
-	}
-	prefix(x, append([]complex128(nil), x...), n, sign)
-	pointsTransformed.Add(outputs(n, n))
-	return nil
-}
-
-// normalise divides every entry of x by n.
-func normalise(x []complex128, n int) {
-	d := complex(float64(n), 0)
-	for i := range x {
-		x[i] /= d
-	}
-}
-
-// twiddleKey identifies one cached twiddle-table set.
-type twiddleKey struct {
-	n       int
-	forward bool
-}
-
-// twiddleCache holds, per (length, direction), one table per butterfly
-// stage. Tables are immutable after construction and shared by every
-// transform of that size in the process — the grf samplers call these
-// transforms once or twice per generated die, so the trigonometric
-// recurrences are paid once instead of per call.
-var twiddleCache sync.Map // twiddleKey -> [][]complex128
+// twiddleCache holds, per length, one table per butterfly stage. Tables
+// are immutable after construction and shared by every transform of that
+// size in the process — the grf samplers call these transforms once or
+// twice per generated die, so the trigonometric recurrences are paid once
+// instead of per call.
+var twiddleCache sync.Map // int -> [][]complex128
 
 // stageTwiddles returns the per-stage twiddle factors for an n-point
-// transform. Each stage table is built with the exact same repeated-
-// multiplication recurrence the butterfly loop historically ran (w starts
-// at 1 and is multiplied by wBase), so cached transforms are bit-for-bit
-// identical to the uncached ones.
-func stageTwiddles(n int, sign float64) [][]complex128 {
-	key := twiddleKey{n: n, forward: sign < 0}
-	if v, ok := twiddleCache.Load(key); ok {
+// forward transform. Each stage table is built with the exact same
+// repeated-multiplication recurrence the butterfly loop historically ran
+// (w starts at 1 and is multiplied by wBase), so cached transforms are
+// bit-for-bit identical to the uncached ones.
+func stageTwiddles(n int) [][]complex128 {
+	if v, ok := twiddleCache.Load(n); ok {
 		return v.([][]complex128)
 	}
 	var tables [][]complex128
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		step := 2 * math.Pi / float64(size) * sign
+		step := -2 * math.Pi / float64(size)
 		wBase := complex(math.Cos(step), math.Sin(step))
 		t := make([]complex128, half)
 		w := complex(1, 0)
@@ -121,7 +82,7 @@ func stageTwiddles(n int, sign float64) [][]complex128 {
 		}
 		tables = append(tables, t)
 	}
-	v, _ := twiddleCache.LoadOrStore(key, tables)
+	v, _ := twiddleCache.LoadOrStore(n, tables)
 	return v.([][]complex128)
 }
 
@@ -225,12 +186,34 @@ func eachPass(n, keep int, do func(kind passKind, s int)) {
 	}
 }
 
+// kernelSet holds one implementation of each of the five pair passes,
+// which are all the passes the paper-scale transforms run; the
+// single-stage passes pass2 and pass2Rows have only their Go loop. Every
+// set computes the same outputs bit for bit: goKernels are the portable Go
+// loops below, and avxKernels (amd64 only) the same butterflies two to an
+// AVX register.
+type kernelSet struct {
+	name      string
+	first4    func(x, src []complex128, rev []int32, t0, t1 []complex128)
+	pass4     func(x []complex128, h int, ta, tb []complex128)
+	sum4      func(x []complex128, h, keep int, ta, tb []complex128)
+	pass4Rows func(m []complex128, w, h int, ta, tb []complex128)
+	sum4Rows  func(m []complex128, w, h, keep int, ta, tb []complex128)
+}
+
+var goKernels = &kernelSet{"go", first4, pass4, sum4, pass4Rows, sum4Rows}
+
+// active is the kernel set every transform runs, chosen once per process:
+// the AVX kernels where this build has them and the CPU and the operating
+// system support AVX, the Go loops everywhere else.
+var active = cmp.Or(avxKernels, goKernels)
+
 // prefix computes into x the first keep outputs of the n-point transform
-// of src (n = len(x) = len(src), a power of two); the rest of x is
-// garbage. The first pass reads src at bit-reversed positions and every
-// later pass works in place on x, so src is only read and must not
-// overlap x.
-func prefix(x, src []complex128, keep int, sign float64) {
+// of src (n = len(x) = len(src), a power of two) whose per-stage twiddle
+// tables are tw; the rest of x is garbage. The first pass reads src at
+// bit-reversed positions and every later pass works in place on x, so src
+// is only read and must not overlap x.
+func prefix(x, src []complex128, keep int, tw [][]complex128) {
 	n := len(x)
 	if keep <= 0 {
 		return
@@ -238,18 +221,18 @@ func prefix(x, src []complex128, keep int, sign float64) {
 	if n < 4 {
 		copy(x, src) // the bit reversal of one or two points is the identity
 	}
-	tw := stageTwiddles(n, sign)
+	ks := active
 	eachPass(n, keep, func(kind passKind, s int) {
 		h := 1 << s
 		switch {
 		case kind == pair && s == 0:
-			first4(x, src, bitrev(n), tw[0], tw[1])
+			ks.first4(x, src, bitrev(n), tw[0], tw[1])
 		case kind == pair:
-			pass4(x, h, tw[s], tw[s+1])
+			ks.pass4(x, h, tw[s], tw[s+1])
 		case kind == single:
 			pass2(x, h, keep, tw[s])
 		default:
-			sum4(x, h, keep, tw[s], tw[s+1])
+			ks.sum4(x, h, keep, tw[s], tw[s+1])
 		}
 	})
 }
@@ -340,27 +323,24 @@ func sum4(x []complex128, h, keep int, ta, tb []complex128) {
 // Forward2D computes the forward DFT of an rows×cols matrix stored
 // row-major in x. Both dimensions must be powers of two.
 func Forward2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, -1)
-}
-
-// Inverse2D computes the inverse DFT (normalised) of an rows×cols matrix
-// stored row-major in x.
-func Inverse2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, +1)
-}
-
-// transform2D transforms every row of x, storing the result of row r at
-// row rev(r), the bit-reversed index, then runs the column stage. Rows r
-// and rev(r) trade places, so both are copied into a two-row buffer
-// before either is overwritten. An inverse divides by cols after the row
-// stage and by rows after the column stage, as two 1-D Inverse calls do.
-func transform2D(x []complex128, rows, cols int, sign float64) error {
 	if len(x) != rows*cols {
 		return fmt.Errorf("fft: matrix buffer has %d elements, want %d", len(x), rows*cols)
 	}
 	if !IsPow2(rows) || !IsPow2(cols) {
 		return fmt.Errorf("fft: dimensions %dx%d are not powers of two", rows, cols)
 	}
+	rowStage(x, rows, cols, stageTwiddles(cols))
+	colStage(x, rows, cols, rows, stageTwiddles(rows))
+	pointsTransformed.Add(int64(rows)*outputs(cols, cols) + int64(cols)*outputs(rows, rows))
+	return nil
+}
+
+// rowStage transforms every row of the rows×cols matrix x with the twiddle
+// tables tw, storing the result of row r at row rev(r), the bit-reversed
+// index, which is the order the column stage's first pass reads. Rows r
+// and rev(r) trade places, so both are copied into a two-row buffer before
+// either is overwritten.
+func rowStage(x []complex128, rows, cols int, tw [][]complex128) {
 	buf := make([]complex128, 2*cols)
 	a, b := buf[:cols], buf[cols:]
 	for r, p := range bitrev(rows) {
@@ -371,20 +351,11 @@ func transform2D(x []complex128, rows, cols int, sign float64) error {
 		xr, xq := x[r*cols:(r+1)*cols], x[q*cols:(q+1)*cols]
 		copy(a, xr)
 		copy(b, xq)
-		prefix(xq, a, cols, sign)
+		prefix(xq, a, cols, tw)
 		if q != r {
-			prefix(xr, b, cols, sign)
+			prefix(xr, b, cols, tw)
 		}
 	}
-	if sign > 0 {
-		normalise(x, cols)
-	}
-	colStage(x, rows, cols, rows, sign)
-	if sign > 0 {
-		normalise(x, rows)
-	}
-	pointsTransformed.Add(int64(rows)*outputs(cols, cols) + int64(cols)*outputs(rows, rows))
-	return nil
 }
 
 // ForwardRegionRows computes the top-left keepRows×keepCols corner of the
@@ -414,13 +385,14 @@ func ForwardRegionRows(dst, row []complex128, rows, cols, keepRows, keepCols int
 		return fmt.Errorf("fft: buffers of %d and %d elements, want %d and %d", len(dst), len(row), rows*keepCols, cols)
 	}
 	work := make([]complex128, cols)
+	tw := stageTwiddles(cols)
 	for r, p := range bitrev(rows) {
 		fill(r, row)
-		prefix(work, row, keepCols, -1)
+		prefix(work, row, keepCols, tw)
 		q := int(p) * keepCols
 		copy(dst[q:q+keepCols], work)
 	}
-	colStage(dst, rows, keepCols, keepRows, -1)
+	colStage(dst, rows, keepCols, keepRows, stageTwiddles(rows))
 	pointsTransformed.Add(int64(rows)*outputs(cols, keepCols) + int64(keepCols)*outputs(rows, keepRows))
 	return nil
 }
@@ -430,21 +402,22 @@ func ForwardRegionRows(dst, row []complex128, rows, cols, keepRows, keepCols int
 // the first keep outputs of every column in the first keep rows. Every
 // butterfly of the column stage pairs two whole rows with one twiddle,
 // so each pass runs its butterflies along rows: the same operands as one
-// column transform at a time, with sequential access and no gather.
-func colStage(m []complex128, rows, w, keep int, sign float64) {
+// column transform at a time, with sequential access and no gather. tw
+// holds the rows-point transform's twiddle tables.
+func colStage(m []complex128, rows, w, keep int, tw [][]complex128) {
 	if w == 0 || keep <= 0 {
 		return
 	}
-	tw := stageTwiddles(rows, sign)
+	ks := active
 	eachPass(rows, keep, func(kind passKind, s int) {
 		h := 1 << s
 		switch kind {
 		case pair:
-			pass4Rows(m, w, h, tw[s], tw[s+1])
+			ks.pass4Rows(m, w, h, tw[s], tw[s+1])
 		case single:
 			pass2Rows(m, w, h, keep, tw[s])
 		default:
-			sum4Rows(m, w, h, keep, tw[s], tw[s+1])
+			ks.sum4Rows(m, w, h, keep, tw[s], tw[s+1])
 		}
 	})
 }

@@ -35,7 +35,7 @@ func TestForwardImpulse(t *testing.T) {
 	// DFT of a unit impulse is all ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	if err := Forward(x); err != nil {
+	if err := forward(x); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {
@@ -54,7 +54,7 @@ func TestForwardSingleTone(t *testing.T) {
 		arg := 2 * math.Pi * 3 * float64(j) / n
 		x[j] = cmplx.Exp(complex(0, arg))
 	}
-	if err := Forward(x); err != nil {
+	if err := forward(x); err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range x {
@@ -77,10 +77,10 @@ func TestRoundTrip(t *testing.T) {
 			x[i] = complex(r.NormFloat64(), r.NormFloat64())
 			orig[i] = x[i]
 		}
-		if err := Forward(x); err != nil {
+		if err := forward(x); err != nil {
 			t.Fatal(err)
 		}
-		if err := Inverse(x); err != nil {
+		if err := inverse(x); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
@@ -101,7 +101,7 @@ func TestParseval(t *testing.T) {
 		x[i] = complex(r.NormFloat64(), r.NormFloat64())
 		tEnergy += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
 	}
-	if err := Forward(x); err != nil {
+	if err := forward(x); err != nil {
 		t.Fatal(err)
 	}
 	var fEnergy float64
@@ -114,11 +114,11 @@ func TestParseval(t *testing.T) {
 }
 
 func TestNonPow2Rejected(t *testing.T) {
-	if err := Forward(make([]complex128, 3)); err == nil {
-		t.Fatal("Forward accepted length 3")
+	if err := forward(make([]complex128, 3)); err == nil {
+		t.Fatal("forward accepted length 3")
 	}
-	if err := Inverse(make([]complex128, 6)); err == nil {
-		t.Fatal("Inverse accepted length 6")
+	if err := inverse(make([]complex128, 6)); err == nil {
+		t.Fatal("inverse accepted length 6")
 	}
 	if err := Forward2D(make([]complex128, 12), 3, 4); err == nil {
 		t.Fatal("Forward2D accepted 3x4")
@@ -140,7 +140,7 @@ func TestRoundTrip2D(t *testing.T) {
 	if err := Forward2D(x, rows, cols); err != nil {
 		t.Fatal(err)
 	}
-	if err := Inverse2D(x, rows, cols); err != nil {
+	if err := inverse2D(x, rows, cols); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -192,7 +192,7 @@ func TestLinearityProperty(t *testing.T) {
 			y[i] = complex(r.NormFloat64(), r.NormFloat64())
 			mix[i] = complex(scale, 0)*x[i] + y[i]
 		}
-		if Forward(x) != nil || Forward(y) != nil || Forward(mix) != nil {
+		if forward(x) != nil || forward(y) != nil || forward(mix) != nil {
 			return false
 		}
 		for i := range x {
@@ -223,7 +223,7 @@ func BenchmarkForward1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(x, in)
-		_ = Forward(x)
+		_ = forward(x)
 	}
 }
 
@@ -233,35 +233,46 @@ func BenchmarkForward2D256(b *testing.B) {
 		in[i] = complex(float64(i%13), 0)
 	}
 	x := make([]complex128, len(in))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(x, in)
-		_ = Forward2D(x, 256, 256)
+	for _, ks := range kernelSets() {
+		b.Run(ks.name, func(b *testing.B) {
+			using(ks, func() {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(x, in)
+					_ = Forward2D(x, 256, 256)
+				}
+			})
+		})
 	}
 }
 
-// BenchmarkForwardRegionRows times the die sampler's transform: an n×n
-// torus streamed row by row and cut to its (n/4)×(n/4) corner, at the
-// paper's map resolution (1024² to 256²) and the quick one (512² to
-// 128²). The fill copies a fixed row, where the sampler draws noise.
+// BenchmarkForwardRegionRows times the die sampler's transform on each
+// kernel set: an n×n torus streamed row by row and cut to its
+// (n/4)×(n/4) corner, at the paper's map resolution (1024² to 256²) and
+// the quick one (512² to 128²). The fill copies a fixed row, where the
+// sampler draws noise.
 func BenchmarkForwardRegionRows(b *testing.B) {
 	for _, n := range []int{1024, 512} {
-		b.Run(fmt.Sprintf("%dto%d", n, n/4), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			in := make([]complex128, n)
-			for i := range in {
-				in[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			dst, row := make([]complex128, n*n/4), make([]complex128, n)
-			fill := func(r int, row []complex128) { copy(row, in) }
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ForwardRegionRows(dst, row, n, n, n/4, n/4, fill); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		rng := rand.New(rand.NewSource(int64(n)))
+		in := make([]complex128, n)
+		for i := range in {
+			in[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		dst, row := make([]complex128, n*n/4), make([]complex128, n)
+		fill := func(r int, row []complex128) { copy(row, in) }
+		for _, ks := range kernelSets() {
+			b.Run(fmt.Sprintf("%dto%d/%s", n, n/4, ks.name), func(b *testing.B) {
+				using(ks, func() {
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := ForwardRegionRows(dst, row, n, n, n/4, n/4, fill); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
 	}
 }

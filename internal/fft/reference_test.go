@@ -11,11 +11,41 @@ import (
 
 // The radix-2 kernel that the paired-pass kernel replaced, frozen: its
 // transform, forwardPrefix, transform2D, ForwardRegionRows and columns,
-// with the swap-pair table and the pooled column buffer they used, are
-// copied verbatim apart from a ref prefix on every name and a
-// test-local butterfly counter in place of the package's. The
-// comparisons below require the package's transforms to reproduce it bit
-// for bit; every golden, grf lock hash and bench digest depends on that.
+// with the swap-pair table, the twiddle tables of both directions and the
+// pooled column buffer they used, are copied verbatim apart from a ref
+// prefix on every name and a test-local butterfly counter in place of the
+// package's. The comparisons below require the package's transforms, on
+// every kernel set, to reproduce it bit for bit; every golden, grf lock
+// hash and bench digest depends on that.
+
+type refTwiddleKey struct {
+	n       int
+	forward bool
+}
+
+var refTwiddleCache sync.Map // refTwiddleKey -> [][]complex128
+
+func refStageTwiddles(n int, sign float64) [][]complex128 {
+	key := refTwiddleKey{n: n, forward: sign < 0}
+	if v, ok := refTwiddleCache.Load(key); ok {
+		return v.([][]complex128)
+	}
+	var tables [][]complex128
+	for size := 2; size <= n; size <<= 1 {
+		half := size / 2
+		step := 2 * math.Pi / float64(size) * sign
+		wBase := complex(math.Cos(step), math.Sin(step))
+		t := make([]complex128, half)
+		w := complex(1, 0)
+		for k := 0; k < half; k++ {
+			t[k] = w
+			w *= wBase
+		}
+		tables = append(tables, t)
+	}
+	v, _ := refTwiddleCache.LoadOrStore(key, tables)
+	return v.([][]complex128)
+}
 
 var refBitrevCache sync.Map // int -> [][2]int32
 
@@ -61,7 +91,7 @@ func refTransform(x []complex128, sign float64) error {
 	for _, p := range refBitrevPairs(n) {
 		x[p[0]], x[p[1]] = x[p[1]], x[p[0]]
 	}
-	tables := stageTwiddles(n, sign)
+	tables := refStageTwiddles(n, sign)
 	for si, size := 0, 2; size <= n; si, size = si+1, size<<1 {
 		half := size / 2
 		t := tables[si]
@@ -122,7 +152,7 @@ func refForwardPrefix(x []complex128, keep int) error {
 	for _, p := range refBitrevPairs(n) {
 		x[p[0]], x[p[1]] = x[p[1]], x[p[0]]
 	}
-	tables := stageTwiddles(n, -1)
+	tables := refStageTwiddles(n, -1)
 	var outs int64
 	for si, size := 0, 2; size <= n; si, size = si+1, size<<1 {
 		half := size / 2
@@ -329,32 +359,34 @@ func randomInput(rng *rand.Rand, n int, kind inputKind) []complex128 {
 
 var kinds = []inputKind{normals, specials, sparse}
 
-// TestForwardMatchesReference compares Forward and Inverse with the frozen
+// TestForwardMatchesReference compares forward and inverse with the frozen
 // kernel at every power-of-two length from 1 to 4096, which covers odd
 // and even stage counts, on normal, special-value and mixed inputs.
 func TestForwardMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for n := 1; n <= 4096; n *= 2 {
-		for _, kind := range kinds {
-			in := randomInput(rng, n, kind)
-			for _, inverse := range []bool{false, true} {
-				got := append([]complex128(nil), in...)
-				want := append([]complex128(nil), in...)
-				var err, refErr error
-				if inverse {
-					err, refErr = Inverse(got), refInverse(want)
-				} else {
-					err, refErr = Forward(got), refForward(want)
-				}
-				if err != nil || refErr != nil {
-					t.Fatalf("n=%d: %v, reference %v", n, err, refErr)
-				}
-				if i := firstDiff(got, want, n); i >= 0 {
-					t.Fatalf("n=%d %v inverse=%v: output %d is %v, reference %v", n, kind, inverse, i, got[i], want[i])
+	eachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for n := 1; n <= 4096; n *= 2 {
+			for _, kind := range kinds {
+				in := randomInput(rng, n, kind)
+				for _, inv := range []bool{false, true} {
+					got := append([]complex128(nil), in...)
+					want := append([]complex128(nil), in...)
+					var err, refErr error
+					if inv {
+						err, refErr = inverse(got), refInverse(want)
+					} else {
+						err, refErr = forward(got), refForward(want)
+					}
+					if err != nil || refErr != nil {
+						t.Fatalf("n=%d: %v, reference %v", n, err, refErr)
+					}
+					if i := firstDiff(got, want, n); i >= 0 {
+						t.Fatalf("n=%d %v inverse=%v: output %d is %v, reference %v", n, kind, inv, i, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestForwardPrefixMatchesReference compares every keep from 0 to n+1 of
@@ -362,25 +394,28 @@ func TestForwardMatchesReference(t *testing.T) {
 // and the kept outputs only: the rest is garbage on both sides. The
 // butterfly-output count must match too.
 func TestForwardPrefixMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for n := 1; n <= 512; n *= 2 {
-		for _, kind := range kinds {
-			in := randomInput(rng, n, kind)
-			for keep := 0; keep <= n+1; keep++ {
-				checkPrefix(t, in, keep)
+	eachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		for n := 1; n <= 512; n *= 2 {
+			for _, kind := range kinds {
+				in := randomInput(rng, n, kind)
+				for keep := 0; keep <= n+1; keep++ {
+					checkPrefix(t, in, keep)
+				}
 			}
 		}
-	}
+	})
 }
 
-// checkPrefix runs one prefix transform through the kernel and the frozen
-// reference and fails on the first kept output or count that differs.
+// checkPrefix runs one prefix transform through the active kernels and
+// the frozen reference and fails on the first kept output or count that
+// differs.
 func checkPrefix(t *testing.T, in []complex128, keep int) {
 	t.Helper()
 	n := len(in)
 	got := make([]complex128, n)
 	want := append([]complex128(nil), in...)
-	prefix(got, in, keep, -1)
+	prefix(got, in, keep, stageTwiddles(n))
 	r0 := refPointsTransformed
 	if err := refForwardPrefix(want, keep); err != nil {
 		t.Fatal(err)
@@ -389,67 +424,72 @@ func checkPrefix(t *testing.T, in []complex128, keep int) {
 		t.Fatalf("n=%d keep=%d: %d butterfly outputs counted, reference %d", n, keep, pts, refPts)
 	}
 	if i := firstDiff(got, want, min(keep, n)); i >= 0 {
-		t.Fatalf("n=%d keep=%d: output %d is %v, reference %v", n, keep, i, got[i], want[i])
+		t.Fatalf("%s kernels, n=%d keep=%d: output %d is %v, reference %v", active.name, n, keep, i, got[i], want[i])
 	}
 }
 
-// TestForward2DMatchesReference compares Forward2D and Inverse2D with the
+// TestForward2DMatchesReference compares Forward2D and inverse2D with the
 // frozen row-then-gathered-column transform on square and oblong shapes,
 // among them single rows and single columns.
 func TestForward2DMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	shapes := [][2]int{{1, 1}, {1, 8}, {8, 1}, {2, 2}, {4, 16}, {16, 4}, {32, 32}, {8, 128}, {128, 8}, {64, 256}}
-	for _, sh := range shapes {
-		rows, cols := sh[0], sh[1]
-		for _, kind := range kinds {
-			in := randomInput(rng, rows*cols, kind)
-			for _, inverse := range []bool{false, true} {
-				got := append([]complex128(nil), in...)
-				want := append([]complex128(nil), in...)
-				var err, refErr error
-				if inverse {
-					err, refErr = Inverse2D(got, rows, cols), refTransform2D(want, rows, cols, refInverse)
-				} else {
-					err, refErr = Forward2D(got, rows, cols), refTransform2D(want, rows, cols, refForward)
-				}
-				if err != nil || refErr != nil {
-					t.Fatalf("%dx%d: %v, reference %v", rows, cols, err, refErr)
-				}
-				if i := firstDiff(got, want, rows*cols); i >= 0 {
-					t.Fatalf("%dx%d %v inverse=%v: output (%d,%d) is %v, reference %v",
-						rows, cols, kind, inverse, i/cols, i%cols, got[i], want[i])
+	eachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		shapes := [][2]int{{1, 1}, {1, 8}, {8, 1}, {2, 2}, {4, 16}, {16, 4}, {32, 32}, {8, 128}, {128, 8}, {64, 256}}
+		for _, sh := range shapes {
+			rows, cols := sh[0], sh[1]
+			for _, kind := range kinds {
+				in := randomInput(rng, rows*cols, kind)
+				for _, inv := range []bool{false, true} {
+					got := append([]complex128(nil), in...)
+					want := append([]complex128(nil), in...)
+					var err, refErr error
+					if inv {
+						err, refErr = inverse2D(got, rows, cols), refTransform2D(want, rows, cols, refInverse)
+					} else {
+						err, refErr = Forward2D(got, rows, cols), refTransform2D(want, rows, cols, refForward)
+					}
+					if err != nil || refErr != nil {
+						t.Fatalf("%dx%d: %v, reference %v", rows, cols, err, refErr)
+					}
+					if i := firstDiff(got, want, rows*cols); i >= 0 {
+						t.Fatalf("%dx%d %v inverse=%v: output (%d,%d) is %v, reference %v",
+							rows, cols, kind, inv, i/cols, i%cols, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestForwardRegionRowsMatchesReference compares the streamed region
 // transform with the frozen one on every kept shape of several matrices,
 // and the counted butterfly outputs with the reference's.
 func TestForwardRegionRowsMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	shapes := [][2]int{{1, 1}, {2, 8}, {8, 2}, {16, 16}, {32, 8}, {8, 64}}
-	for _, sh := range shapes {
-		rows, cols := sh[0], sh[1]
-		for _, kind := range kinds {
-			in := randomInput(rng, rows*cols, kind)
-			for kr := 0; kr <= rows; kr++ {
-				for kc := 0; kc <= cols; kc++ {
-					checkRegion(t, in, rows, cols, kr, kc)
+	eachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(24))
+		shapes := [][2]int{{1, 1}, {2, 8}, {8, 2}, {16, 16}, {32, 8}, {8, 64}}
+		for _, sh := range shapes {
+			rows, cols := sh[0], sh[1]
+			for _, kind := range kinds {
+				in := randomInput(rng, rows*cols, kind)
+				for kr := 0; kr <= rows; kr++ {
+					for kc := 0; kc <= cols; kc++ {
+						checkRegion(t, in, rows, cols, kr, kc)
+					}
 				}
 			}
 		}
-	}
-	// The paper and quick shapes: a 1024² (512²) torus cut to its
-	// 256² (128²) corner.
-	for _, n := range []int{512, 1024} {
-		checkRegion(t, randomInput(rng, n*n, normals), n, n, n/4, n/4)
-	}
+		// The paper and quick shapes: a 1024² (512²) torus cut to its
+		// 256² (128²) corner.
+		for _, n := range []int{512, 1024} {
+			checkRegion(t, randomInput(rng, n*n, normals), n, n, n/4, n/4)
+		}
+	})
 }
 
-// checkRegion runs one region transform through the kernel and the frozen
-// reference and fails on the first kept output or count that differs.
+// checkRegion runs one region transform through the active kernels and
+// the frozen reference and fails on the first kept output or count that
+// differs.
 func checkRegion(t *testing.T, in []complex128, rows, cols, kr, kc int) {
 	t.Helper()
 	fill := func(r int, row []complex128) { copy(row, in[r*cols:(r+1)*cols]) }
@@ -468,15 +508,15 @@ func checkRegion(t *testing.T, in []complex128, rows, cols, kr, kc int) {
 		t.Fatalf("%dx%d region %dx%d: %d butterfly outputs counted, reference %d", rows, cols, kr, kc, pts, refPts)
 	}
 	if i := firstDiff(got, want, kr*kc); i >= 0 {
-		t.Fatalf("%dx%d region %dx%d: output (%d,%d) is %v, reference %v",
-			rows, cols, kr, kc, i/kc, i%kc, got[i], want[i])
+		t.Fatalf("%s kernels, %dx%d region %dx%d: output (%d,%d) is %v, reference %v",
+			active.name, rows, cols, kr, kc, i/kc, i%kc, got[i], want[i])
 	}
 }
 
-// FuzzForwardPrefix compares a fuzzed prefix transform with the frozen
-// one. The input bytes are the length's exponent (0–12), the keep, and
-// then the float64 parts in order, eight bytes each, zero-padded; the
-// seed corpus is in testdata/fuzz/FuzzForwardPrefix.
+// FuzzForwardPrefix compares a fuzzed prefix transform on every kernel set
+// with the frozen one. The input bytes are the length's exponent (0–12),
+// the keep, and then the float64 parts in order, eight bytes each,
+// zero-padded; the seed corpus is in testdata/fuzz/FuzzForwardPrefix.
 func FuzzForwardPrefix(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -497,6 +537,8 @@ func FuzzForwardPrefix(f *testing.F) {
 		for i := range in {
 			in[i] = complex(part(2*i), part(2*i+1))
 		}
-		checkPrefix(t, in, keep)
+		for _, ks := range kernelSets() {
+			using(ks, func() { checkPrefix(t, in, keep) })
+		}
 	})
 }
