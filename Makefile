@@ -1,12 +1,13 @@
 # Development targets for the vasched repository. The repo is Go with no
-# dependencies outside the standard library, so everything here is just
-# the go tool. Its one piece of assembly is internal/fft's AVX butterfly
-# kernels (avx_amd64.s); every other architecture, and every race build,
-# runs the Go loops they stand in for.
+# dependencies outside the standard library, so everything here is the
+# go tool, plus git and tar for the tree benchcheck compares against.
+# Its one piece of assembly is internal/fft's AVX butterfly kernels
+# (avx_amd64.s); every other architecture, and every race build, runs
+# the Go loops they stand in for.
 
 GO ?= go
 
-.PHONY: all build test vet lint check race bench benchsmoke benchtest ci fuzzseed benchcheck benchsnap cover goldens goldens-check loadtest loadsnap loadcheck clean
+.PHONY: all build test vet lint check race bench benchsmoke benchtest ci fuzzseed benchcheck cover goldens goldens-check loadtest clean
 
 all: check
 
@@ -60,14 +61,12 @@ benchtest:
 # ci is the full gate: vet, build, race-enabled tests (includes the
 # golden-file experiment test), the benchmark module's tests, the
 # coverage gate, the fuzz targets (lp, anneal, shard codec, WAL record,
-# config hash, LU solve, RNG stream, FFT prefix) run for 10s each, and a benchmark pass of the
-# hot-path micro-benchmarks compared against the newest committed
-# BENCH_*.json — more than 20% ns/op regression fails. Benchmark
-# baselines are machine-specific: refresh with `make benchsnap` when the
-# reference machine changes. loadcheck guards delivered capacity the
-# same way against the committed LOAD_*.json. The hosted pipeline
-# (.github/workflows/ci.yml) runs the same steps as parallel jobs.
-ci: lint build race benchtest goldens-check cover fuzzseed benchcheck loadcheck
+# config hash, LU solve, RNG stream, FFT prefix) run for 10s each, and
+# benchcheck, the paired perf gate on the working tree's uncommitted
+# change. The hosted pipeline (.github/workflows/ci.yml) runs the same
+# steps as parallel jobs; its perf job runs the gate against a pull
+# request's base commit, with the service-light workload added.
+ci: lint build race benchtest goldens-check cover fuzzseed benchcheck
 
 fuzzseed:
 	$(GO) test -fuzz FuzzSolve -fuzztime 10s ./internal/lp
@@ -80,13 +79,13 @@ fuzzseed:
 	$(GO) test -fuzz FuzzForwardPrefix -fuzztime 10s ./internal/fft
 
 # cover prints per-package statement coverage and fails if any of the
-# gated packages (the concurrency- and protocol-heavy ones, the die
-# generation path that workers share, the chip evaluation with the
-# thermal kernel every evaluation rides, the device laws, floorplan and
-# power model every chip is built from, and the random stream and the
-# annealer every golden depends on) drops below 80%. Numbers are
+# gated packages (the concurrency- and protocol-heavy ones, the perf
+# gate, the die generation path that workers share, the chip evaluation
+# with the thermal kernel every evaluation rides, the device laws,
+# floorplan and power model every chip is built from, and the random
+# stream and the annealer every golden depends on) drops below 80%. Numbers are
 # recorded in EXPERIMENTS.md ("Coverage gate").
-COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip vasched/internal/stats vasched/internal/anneal vasched/internal/tech vasched/internal/floorplan vasched/internal/power
+COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/cmd/benchstatus vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip vasched/internal/stats vasched/internal/anneal vasched/internal/tech vasched/internal/floorplan vasched/internal/power
 
 # The timeline engine carries a higher bar: core's tick loop integrates
 # four subsystems (thermal, power, scheduling, wearout) plus the optional
@@ -117,15 +116,13 @@ goldens:
 goldens-check: goldens
 	git diff --exit-code internal/experiments/testdata/golden
 
-# benchcheck compares the micro-benchmarks (not the multi-second paper
-# artefacts) against the committed baseline without writing a snapshot.
+# benchcheck runs the paired perf gate (cmd/benchstatus) with HEAD as
+# the parent, so it judges the working tree's uncommitted change: ten
+# rounds of every internal/ micro-benchmark, the two trees' binaries
+# alternating, failing on any benchmark that reads worse. About 13
+# minutes on a 2-vCPU VM; on a clean tree every benchmark reads same.
 benchcheck:
-	$(GO) run ./cmd/benchstatus -check -nowrite \
-		-pkgs ./internal/stats,./internal/grf,./internal/thermal,./internal/linsolve,./internal/chip,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/core,./internal/dynamic,./internal/tech,./internal/delay,./internal/floorplan
-
-# benchsnap records a fresh full-suite snapshot (BENCH_<date>.json).
-benchsnap:
-	$(GO) run ./cmd/benchstatus
+	$(GO) run ./cmd/benchstatus HEAD
 
 # loadtest is the SLO-asserted load smoke: spawn a real coordinator,
 # drive 1,000 seeded mixed-tenant jobs through the three lanes with
@@ -137,20 +134,6 @@ LOADFLAGS = -jobs 1000 -tenants 3 -clients 16 -seed 42 -tenant-quota 8 -kill-at 
 
 loadtest:
 	$(GO) run ./cmd/vaschedload $(LOADFLAGS)
-
-# loadsnap records a LOAD_<date>.json capacity baseline in the repo
-# root (commit it, like the BENCH_*.json baselines). Capacity numbers
-# are machine-specific: refresh on the reference machine.
-loadsnap:
-	$(GO) run ./cmd/vaschedload $(LOADFLAGS) -out .
-
-# loadcheck reruns the load smoke and gates delivered capacity against
-# the newest committed LOAD_*.json: a sustained jobs/s drop beyond 20%
-# fails (host-fingerprint mismatches downgrade to a loud advisory).
-loadcheck:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/vaschedload $(LOADFLAGS) -out $$tmp && \
-	$(GO) run ./cmd/benchstatus -load $$tmp/LOAD_*.json -check
 
 clean:
 	$(GO) clean ./...

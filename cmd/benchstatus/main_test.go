@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,32 +16,29 @@ goarch: amd64
 pkg: vasched/internal/lp
 cpu: some cpu
 BenchmarkSolve-8         	    1000	   1052341 ns/op	  524288 B/op	      12 allocs/op
-BenchmarkSolveWarm-8     	    5000	    201234 ns/op	       0 B/op	       0 allocs/op
-BenchmarkAnneal-8        	     200	   7000000 ns/op	       1.25 swaps/op
+BenchmarkSolveWarm       	    5000	    201234 ns/op
+BenchmarkAnneal/chains-4-2	     200	   7000000 ns/op	       1.25 swaps/op
 PASS
 ok  	vasched/internal/lp	2.042s
 `
 
 func TestParseBenchOutput(t *testing.T) {
-	bs, err := parseBenchOutput(sampleBenchOutput)
+	got, err := parseBenchOutput(sampleBenchOutput)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bs) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(bs))
+	want := []result{
+		{"BenchmarkSolve", 1052341},
+		{"BenchmarkSolveWarm", 201234},
+		{"BenchmarkAnneal/chains-4", 7000000},
 	}
-	b := bs[0]
-	if b.Package != "vasched/internal/lp" || b.Name != "BenchmarkSolve" ||
-		b.Iterations != 1000 || b.NsPerOp != 1052341 || b.BytesPerOp != 524288 || b.AllocsPerOp != 12 {
-		t.Fatalf("first benchmark = %+v", b)
-	}
-	if bs[2].Metrics["swaps/op"] != 1.25 {
-		t.Fatalf("custom metric not captured: %+v", bs[2])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed %+v, want %+v", got, want)
 	}
 }
 
 func TestParseBenchOutputBadValue(t *testing.T) {
-	if _, err := parseBenchOutput("BenchmarkX-4 100 oops ns/op\n"); err == nil {
+	if _, err := parseBenchOutput("BenchmarkX-4 100 1.2.3 ns/op\n"); err == nil {
 		t.Fatal("bad value accepted")
 	}
 }
@@ -56,123 +57,341 @@ func TestTrimProcSuffix(t *testing.T) {
 	}
 }
 
-func TestLatestSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	if got := latestSnapshot(dir); got != "" {
-		t.Fatalf("empty dir returned %q", got)
+func TestRunRejectsBadFlags(t *testing.T) {
+	var buf strings.Builder
+	for _, args := range [][]string{nil, {"-no-such-flag"}, {"HEAD", "-threshold", "20"}} {
+		if err := run(context.Background(), ".", args, &buf, gate{}); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		}
 	}
-	for _, name := range []string{"BENCH_2026-01-05.json", "BENCH_2026-03-01.json", "BENCH_2025-12-31.json", "other.json"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+}
+
+// paired is the series of rounds with one run pair each.
+func paired(parent, change []float64) *series {
+	n := min(len(parent), len(change))
+	s := &series{ns: [2][]float64{parent, change}}
+	for i := 0; i < n; i++ {
+		s.ratios = append(s.ratios, change[i]/parent[i])
+	}
+	for range parent {
+		s.parentDev = append(s.parentDev, 1)
+	}
+	return s
+}
+
+// scaled returns base times each factor.
+func scaled(base float64, factors ...float64) []float64 {
+	out := make([]float64, len(factors))
+	for i, f := range factors {
+		out[i] = base * f
+	}
+	return out
+}
+
+// TestCompareThresholdMath pins the paired rule a benchmark is judged
+// by: nine of ten rounds with ties counting for neither, a median ratio
+// beyond the parent's within-round quartile spread, and beyond
+// minEffect.
+func TestCompareThresholdMath(t *testing.T) {
+	parent := scaled(100, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99, 1)
+	for _, tc := range []struct {
+		name           string
+		parent, change []float64
+		want           string
+		faster, slower int
+	}{
+		{"identical runs tie every round", parent, parent, "same", 0, 0},
+		{"20% slower in 10 of 10", parent, scaled(120, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99, 1), "worse", 0, 10},
+		{"20% slower in 9 of 10, one tie", parent, append(scaled(120, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99), 100), "worse", 0, 9},
+		{"20% slower in 9 of 10, one faster", parent, append(scaled(120, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99), 90), "worse", 1, 9},
+		{"20% slower in 8 of 10", parent, append(scaled(120, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01), 90, 90), "same", 2, 8},
+		{"slower every round but below the minimum effect", parent, scaled(100*(1+minEffect/2), 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99, 1), "same", 0, 10},
+		{"20% faster in 10 of 10", parent, scaled(80, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99, 1), "better", 10, 0},
+		{"unpaired tail is ignored", parent, append(append([]float64(nil), parent...), 1e9), "same", 0, 0},
+	} {
+		v, _, faster, slower := verdict(paired(tc.parent, tc.change))
+		if v != tc.want || faster != tc.faster || slower != tc.slower {
+			t.Errorf("%s: verdict %s (faster %d, slower %d), want %s (%d, %d)",
+				tc.name, v, faster, slower, tc.want, tc.faster, tc.slower)
+		}
+	}
+
+	// Slower by 20% every round, but the parent's runs spread by more
+	// than that within their rounds.
+	s := paired(parent, scaled(120, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99, 1))
+	s.parentDev = []float64{0.7, 1, 1.3, 0.75, 1, 1.25, 0.8, 1, 1.2, 0.7, 1, 1.3}
+	if v, _, _, slower := verdict(s); v != "same" || slower != 10 {
+		t.Errorf("slower inside the parent's spread: verdict %s, slower %d; want same, 10", v, slower)
+	}
+	// The same series with a tight parent reads worse: drift between
+	// rounds, which the pairing cancels, is not spread.
+	s.parentDev = []float64{0.99, 1, 1.01, 0.98, 1, 1.02}
+	s.ns[0] = scaled(100, 0.6, 1.6, 0.7, 1.5, 0.8, 1.4, 0.9, 1.3, 1, 1.2)
+	if v, _, _, _ := verdict(s); v != "worse" {
+		t.Errorf("slower beyond the within-round spread, drifting rounds: verdict %s, want worse", v)
+	}
+}
+
+// TestReport checks that a worse line names its package and benchmark,
+// and that benchmarks only one side ran read new or gone.
+func TestReport(t *testing.T) {
+	base := scaled(100, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99, 1)
+	slow := scaled(125, 1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1.01, 0.99, 1)
+	got := samples{
+		"internal/thermal BenchmarkSolveScratch": paired(base, slow),
+		"internal/thermal BenchmarkFixedPoint":   paired(base, base),
+		"internal/lp BenchmarkAdded":             paired(nil, base),
+		"internal/lp BenchmarkDropped":           paired(base, nil),
+	}
+	var buf strings.Builder
+	worse := report(&buf, got)
+	if !reflect.DeepEqual(worse, []string{"internal/thermal BenchmarkSolveScratch"}) {
+		t.Fatalf("worse = %q\n%s", worse, buf.String())
+	}
+	for name, want := range map[string]string{
+		"BenchmarkSolveScratch": "worse", "BenchmarkFixedPoint": "same",
+		"BenchmarkAdded": "new", "BenchmarkDropped": "gone",
+	} {
+		found := false
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[1] == name {
+				found = true
+				if f[len(f)-1] != want {
+					t.Errorf("%s reads %q, want %s", name, line, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s missing from the report:\n%s", name, buf.String())
+		}
+	}
+}
+
+func TestWorseRows(t *testing.T) {
+	table := `workload         metric            runs     parent p50     change p50   change  verdict
+service-light    setup_s          10/10        1.40721        1.39102    -1.2%  same
+service-light    work_per_s       10/10        11.8125        11.8021    -0.1%  same
+service-light    unit_ms_p50      10/10        1.17541        1.71212   +45.7%  worse
+service-light    unit_ms_tail     10/10        522.913        601.811   +15.1%  unresolved
+service-light    max_rss_mb       10/10        77.1094        71.0000    -7.9%  better
+service-light    2 run(s) flagged noisy: rerun them`
+	if got := worseRows(table); !reflect.DeepEqual(got, []string{"service-light unit_ms_p50"}) {
+		t.Fatalf("worseRows = %q", got)
+	}
+	if got := worseRows(strings.ReplaceAll(table, "worse", "same")); got != nil {
+		t.Fatalf("worseRows of a table without worse = %q", got)
+	}
+}
+
+// writeFiles creates the given files, slash-separated paths relative to
+// root, with their parent directories.
+func writeFiles(t *testing.T, root string, files map[string]string) {
+	t.Helper()
+	for name, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := latestSnapshot(dir); filepath.Base(got) != "BENCH_2026-03-01.json" {
-		t.Fatalf("latestSnapshot = %q, want newest date", got)
-	}
 }
 
-// TestCompareThresholdMath pins the regression arithmetic: delta is
-// percent over the OLD time, strictly-greater-than the threshold counts,
-// missing baselines print as new without counting, and baseline entries
-// the run no longer has print as gone without counting — but only in
-// packages the run benchmarked.
-func TestCompareThresholdMath(t *testing.T) {
-	prev := &Snapshot{Benchmarks: []Benchmark{
-		{Package: "p", Name: "BenchmarkA", NsPerOp: 100},
-		{Package: "p", Name: "BenchmarkB", NsPerOp: 100},
-		{Package: "p", Name: "BenchmarkC", NsPerOp: 100},
-		{Package: "p", Name: "BenchmarkZero", NsPerOp: 0},
-		{Package: "p", Name: "BenchmarkDeleted", NsPerOp: 300},
-		{Package: "q", Name: "BenchmarkNotRun", NsPerOp: 100},
-	}}
-	cur := &Snapshot{Benchmarks: []Benchmark{
-		{Package: "p", Name: "BenchmarkA", NsPerOp: 120}, // exactly +20%: not a regression at threshold 20
-		{Package: "p", Name: "BenchmarkB", NsPerOp: 121}, // +21%: regression
-		{Package: "p", Name: "BenchmarkC", NsPerOp: 80},  // improvement
-		{Package: "p", Name: "BenchmarkZero", NsPerOp: 5},
-		{Package: "p", Name: "BenchmarkNew", NsPerOp: 50},
-	}}
-	var buf strings.Builder
-	got := compare(&buf, prev, cur, "base.json", 20)
-	if got != 1 {
-		t.Fatalf("regressions = %d, want 1\n%s", got, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "comparison vs base.json") {
-		t.Fatalf("missing header:\n%s", out)
-	}
-	lines := strings.Split(out, "\n")
-	markers := 0
-	for _, l := range lines {
-		if strings.Contains(l, "<< REGRESSION") {
-			if !strings.Contains(l, "BenchmarkB") {
-				t.Errorf("regression marker on wrong line: %q", l)
-			}
-			markers++
-		}
-		if strings.Contains(l, "BenchmarkNew") && !strings.Contains(l, "new") {
-			t.Errorf("new benchmark not marked: %q", l)
-		}
-		if strings.Contains(l, "BenchmarkDeleted") && !strings.HasSuffix(l, "gone") {
-			t.Errorf("vanished benchmark not marked gone: %q", l)
-		}
-	}
-	if markers != 1 {
-		t.Fatalf("marker count = %d, want 1\n%s", markers, out)
-	}
-	if strings.Count(out, "BenchmarkDeleted") != 1 {
-		t.Fatalf("vanished benchmark not listed once:\n%s", out)
-	}
-	if strings.Contains(out, "BenchmarkNotRun") {
-		t.Fatalf("benchmark of a package the run skipped listed:\n%s", out)
-	}
-}
-
-// TestFingerprintWarning: comparing snapshots from different hosts prints
-// the loud mismatch banner (including both fingerprints), same-host
-// comparisons stay quiet, and a legacy snapshot without num_cpu renders
-// as cpu? so the mismatch still surfaces.
-func TestFingerprintWarning(t *testing.T) {
-	ref := &Snapshot{GOOS: "linux", GOARCH: "amd64", NumCPU: 1}
-	other := &Snapshot{GOOS: "linux", GOARCH: "amd64", NumCPU: 16}
-	var buf strings.Builder
-	compare(&buf, ref, other, "base.json", 20)
-	out := buf.String()
-	if !strings.Contains(out, "HOST FINGERPRINT MISMATCH") ||
-		!strings.Contains(out, "linux/amd64/cpu1") || !strings.Contains(out, "linux/amd64/cpu16") {
-		t.Fatalf("mismatch banner missing or incomplete:\n%s", out)
-	}
-
-	buf.Reset()
-	compare(&buf, ref, ref, "base.json", 20)
-	if strings.Contains(buf.String(), "MISMATCH") {
-		t.Fatalf("same-host comparison warned:\n%s", buf.String())
-	}
-
-	legacy := &Snapshot{GOOS: "linux", GOARCH: "amd64"}
-	buf.Reset()
-	compare(&buf, legacy, other, "base.json", 20)
-	if !strings.Contains(buf.String(), "linux/amd64/cpu?") {
-		t.Fatalf("legacy snapshot fingerprint not rendered as cpu?:\n%s", buf.String())
-	}
-}
-
-func TestReadSnapshotErrors(t *testing.T) {
-	if _, err := readSnapshot(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
+func TestBenchPackages(t *testing.T) {
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{
+		"internal/a/a_test.go":             "package a\n\nfunc BenchmarkA(b *testing.B) {}\n",
+		"internal/b/b_test.go":             "package b\n\nfunc TestB(t *testing.T) {}\n",
+		"internal/c/testdata/x/x_test.go":  "package x\n\nfunc BenchmarkX(b *testing.B) {}\n",
+		"internal/d/e/e.go":                "package e\n\nfunc BenchmarkNotATest() {}\n",
+		"internal/d/e/ext_test.go":         "package e_test\n\nfunc BenchmarkE(b *testing.B) {}\n",
+		"internal/_skip/s_test.go":         "package s\n\nfunc BenchmarkS(b *testing.B) {}\n",
+		"cmd/tool/tool_test.go":            "package main\n\nfunc BenchmarkTool(b *testing.B) {}\n",
+		"internal/f/commented_out_test.go": "package f\n\n// func BenchmarkF(b *testing.B) {}\n",
+	})
+	got, err := benchPackages(root)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSnapshot(bad); err == nil {
-		t.Fatal("malformed snapshot accepted")
+	if want := []string{"internal/a", "internal/d/e"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("benchPackages = %q, want %q", got, want)
 	}
 }
 
-func TestRunRejectsBadFlags(t *testing.T) {
+// workPackage is a benchmark package whose one benchmark spins n
+// xorshift steps per operation. It reports the process's CPU time per
+// operation as its ns/op, so that other processes sharing the CPUs (the
+// rest of a parallel test run) cannot hide a difference in work.
+func workPackage(pkg string, n int) map[string]string {
+	return map[string]string{
+		"internal/" + pkg + "/doc.go": "package " + pkg + "\n",
+		"internal/" + pkg + "/work_test.go": fmt.Sprintf(`package %s
+
+import (
+	"syscall"
+	"testing"
+)
+
+var sink uint64
+
+func cpuNanos() int64 {
+	var ru syscall.Rusage
+	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
+
+func BenchmarkWork(b *testing.B) {
+	start := cpuNanos()
+	for i := 0; i < b.N; i++ {
+		x := uint64(i + 1)
+		for j := 0; j < %d; j++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		sink += x
+	}
+	b.ReportMetric(float64(cpuNanos()-start)/float64(b.N), "ns/op")
+}
+`, pkg, n),
+	}
+}
+
+// newModule writes a module named x holding the given files.
+func newModule(t *testing.T, files ...map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{"go.mod": "module x\n\ngo 1.22\n"})
+	for _, f := range files {
+		writeFiles(t, root, f)
+	}
+	return root
+}
+
+// TestRoundsCatchSlowerCopy runs the round loop on two throwaway trees.
+// Package slow does 20% more work in the change tree; package same is
+// identical in both. Only slow may read worse.
+func TestRoundsCatchSlowerCopy(t *testing.T) {
+	const n = 1_000_000
+	trees := [2]string{
+		newModule(t, workPackage("slow", n), workPackage("same", n)),
+		newModule(t, workPackage("slow", n*6/5), workPackage("same", n)),
+	}
+	ctx := context.Background()
+	suites, err := build(ctx, trees, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(suites) != 2 || suites[0].pkg != "internal/same" || suites[1].pkg != "internal/slow" {
+		t.Fatalf("suites = %+v", suites)
+	}
 	var buf strings.Builder
-	if err := run([]string{"-no-such-flag"}, &buf); err == nil {
-		t.Fatal("unknown flag accepted")
+	got, err := gate{rounds: 10, reps: reps, benchtime: "10x"}.runRounds(ctx, &buf, suites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worse := report(&buf, got)
+	t.Logf("\n%s", buf.String())
+	if !reflect.DeepEqual(worse, []string{"internal/slow BenchmarkWork"}) {
+		t.Fatalf("worse = %q, want only internal/slow", worse)
+	}
+	if v, _, _, _ := verdict(got["internal/same BenchmarkWork"]); v != "same" {
+		t.Fatalf("identical copies read %s", v)
+	}
+	for _, s := range got {
+		if len(s.ns[0]) != 10 || len(s.ns[1]) != 10 || len(s.ratios) != 10 {
+			t.Fatalf("got %d, %d and %d samples, want 10 per side and 10 ratios", len(s.ns[0]), len(s.ns[1]), len(s.ratios))
+		}
+	}
+}
+
+// fakeBench is a bench/run.sh stand-in. A run appends its tree's side
+// file and workload to log and one record to its --out file; -compare
+// prints a table whose rows count each file's records and whose
+// setup_s row reads worse.
+const fakeBench = `#!/usr/bin/env bash
+set -e
+if [ "$1" = -compare ]; then
+	echo "workload metric runs parent change change verdict"
+	echo "w1 work_per_s $(wc -l < "$2")/$(wc -l < "$3") 1 1 +0.0% same"
+	echo "w1 setup_s $(wc -l < "$2")/$(wc -l < "$3") 1 2 +100.0% worse"
+	exit 0
+fi
+echo "$(cat side) $2" >> LOG
+echo '{}' >> "$4"
+`
+
+// git runs git in dir with a fixed identity.
+func git(t *testing.T, dir string, args ...string) {
+	t.Helper()
+	cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"}, args...)...)
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("git %v: %v\n%s", args, err, out)
+	}
+}
+
+// TestRunAgainstRevision drives the whole command on a throwaway git
+// repository: the parent is its commit, the change its working tree.
+// The runs alternate sides round by round, bench's worse row fails the
+// run, and the temporary directory is gone afterwards, also when the
+// change does not build.
+func TestRunAgainstRevision(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	log := filepath.Join(t.TempDir(), "runs.log")
+	repo := newModule(t, workPackage("a", 1000), map[string]string{
+		"side":         "parent\n",
+		"bench/run.sh": strings.ReplaceAll(fakeBench, "LOG", log),
+	})
+	git(t, repo, "init", "-q")
+	git(t, repo, "add", "-A")
+	git(t, repo, "commit", "-qm", "parent")
+	writeFiles(t, repo, map[string]string{"side": "change\n"})
+
+	var buf strings.Builder
+	err := run(context.Background(), filepath.Join(repo, "internal"), []string{"HEAD", "w1"}, &buf, gate{rounds: 2, reps: 1, benchtime: "10x"})
+	t.Logf("\n%s", buf.String())
+	if err == nil || !strings.Contains(err.Error(), "w1 setup_s") {
+		t.Fatalf("err = %v, want bench's worse row", err)
+	}
+	if !strings.Contains(buf.String(), "internal/a") || !strings.Contains(buf.String(), "w1 work_per_s 2/2") {
+		t.Fatalf("report lacks the micro-benchmark or two records per side:\n%s", buf.String())
+	}
+	runs, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "parent w1\nchange w1\nchange w1\nparent w1\n"; string(runs) != want {
+		t.Fatalf("run order:\n%s\nwant:\n%s", runs, want)
+	}
+	assertEmpty(t, tmp)
+
+	writeFiles(t, repo, map[string]string{"internal/a/broken_test.go": "package a\n\nfunc broken( {\n"})
+	err = run(context.Background(), repo, []string{"HEAD"}, &buf, gate{rounds: 2, reps: 1, benchtime: "10x"})
+	if err == nil || !strings.Contains(err.Error(), "building change's internal/a") {
+		t.Fatalf("err = %v, want the change's build failure", err)
+	}
+	assertEmpty(t, tmp)
+
+	if err := run(context.Background(), repo, []string{"no-such-rev"}, &buf, gate{rounds: 2, reps: 1, benchtime: "10x"}); err == nil {
+		t.Fatal("unknown revision accepted")
+	}
+	assertEmpty(t, tmp)
+}
+
+// assertEmpty fails unless dir has no entries.
+func assertEmpty(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Fatalf("%s keeps %d entries, first %s", dir, len(left), left[0].Name())
 	}
 }

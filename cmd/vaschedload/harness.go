@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vasched/internal/loadsnap"
 	"vasched/internal/metrics"
 	"vasched/internal/tenant"
 )
@@ -72,19 +71,19 @@ func (ta *tally) observe(sec float64) {
 
 // quantiles computes exact client-side percentiles (nearest-rank on the
 // sorted sample — no estimation needed when every latency is on hand).
-func (ta *tally) quantiles() loadsnap.Quantiles {
+func (ta *tally) quantiles() Quantiles {
 	ta.mu.Lock()
 	lat := append([]float64(nil), ta.clientLat...)
 	ta.mu.Unlock()
 	if len(lat) == 0 {
-		return loadsnap.Quantiles{}
+		return Quantiles{}
 	}
 	sort.Float64s(lat)
 	at := func(q float64) float64 {
 		i := int(q * float64(len(lat)-1))
 		return lat[i]
 	}
-	return loadsnap.Quantiles{P50: at(0.50), P95: at(0.95), P99: at(0.99)}
+	return Quantiles{P50: at(0.50), P95: at(0.95), P99: at(0.99)}
 }
 
 // driver runs the planned mix against the target coordinator.
@@ -98,18 +97,19 @@ type driver struct {
 	// injector triggers on it.
 	terminals atomic.Int64
 
-	// depths accumulates the sampled queue-depth series.
-	depthMu   sync.Mutex
-	depth     []int
-	laneDepth map[string][]int
+	// peakDepth and peakLaneDepth are the largest sampled total and
+	// per-lane queue depths.
+	depthMu       sync.Mutex
+	peakDepth     int
+	peakLaneDepth map[string]int
 }
 
 func newDriver(cfg runConfig, tgt *target) *driver {
 	return &driver{
-		cfg:       cfg,
-		tgt:       tgt,
-		httpc:     &http.Client{Timeout: 30 * time.Second},
-		laneDepth: map[string][]int{},
+		cfg:           cfg,
+		tgt:           tgt,
+		httpc:         &http.Client{Timeout: 30 * time.Second},
+		peakLaneDepth: map[string]int{},
 	}
 }
 
@@ -371,7 +371,8 @@ func (d *driver) drive(ctx context.Context, specs []jobSpec) error {
 	return firstErr
 }
 
-// sampleDepths scrapes lane-depth gauges until ctx is cancelled.
+// sampleDepths scrapes lane-depth gauges until ctx is cancelled and
+// keeps their peaks.
 func (d *driver) sampleDepths(ctx context.Context, every time.Duration) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
@@ -396,9 +397,9 @@ func (d *driver) sampleDepths(ctx context.Context, every time.Duration) {
 			total += int(v)
 		}
 		d.depthMu.Lock()
-		d.depth = append(d.depth, total)
+		d.peakDepth = max(d.peakDepth, total)
 		for lane, v := range perLane {
-			d.laneDepth[lane] = append(d.laneDepth[lane], v)
+			d.peakLaneDepth[lane] = max(d.peakLaneDepth[lane], v)
 		}
 		d.depthMu.Unlock()
 	}

@@ -12,9 +12,8 @@
 // p50/p95/p99 from the vaschedd_job_seconds and vaschedd_decide_seconds
 // histogram buckets, computes exact client-side submit→terminal
 // percentiles, and asserts the configured SLO thresholds — exiting
-// non-zero on any violation, a failed job, or a lost job. With -out it
-// writes a host-fingerprinted LOAD_<date>.json capacity snapshot that
-// cmd/benchstatus -load gates >20% capacity regressions against.
+// non-zero on any violation, a failed job, or a lost job. It prints its
+// report to standard output.
 //
 // Usage:
 //
@@ -22,7 +21,7 @@
 //	            [-scale quick] [-rate-hz 0] [-cancel-frac 0.03]
 //	            [-burst-frac 0.04] [-kill-at 0.4] [-cluster-workers 0]
 //	            [-max-jobs 2] [-tenant-quota 16] [-lane-cap 64]
-//	            [-timeout 10m] [-out DIR] [-date YYYY-MM-DD]
+//	            [-timeout 10m]
 //	            [-slo-client-p50 0] [-slo-client-p99 30]
 //	            [-slo-job-p99 10] [-slo-decide-p99 1]
 //	            [-target URL]
@@ -39,13 +38,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"vasched/internal/loadsnap"
 	"vasched/internal/metrics"
 )
 
@@ -58,18 +54,67 @@ type runConfig struct {
 	clusterWorkers                int
 	maxJobs, tenantQuota, laneCap int
 	timeout                       time.Duration
-	target, out, date             string
-	slo                           loadsnap.SLO
+	target                        string
+	slo                           SLO
+}
+
+// Quantiles are latency percentiles in seconds.
+type Quantiles struct {
+	P50, P95, P99 float64
+}
+
+// SLO is the asserted thresholds (seconds; zero disables a threshold).
+type SLO struct {
+	ClientP50, ClientP99, JobP99, DecideP99 float64
+}
+
+// Counts are the run's outcome tallies. Lost must be zero: every job
+// the harness got a 202 for must reach a terminal state, across any
+// injected coordinator crash.
+type Counts struct {
+	Submitted, Done, Cancelled, Failed int64
+	Rejected429, Retries, Restarts     int64
+	Lost                               int64
+}
+
+// result is what one run delivered: the numbers the report prints and
+// the SLO gate checks.
+type result struct {
+	DurationSec float64
+	// JobsPerSec is terminal jobs over the measured wall clock.
+	JobsPerSec float64
+	SLO        SLO
+	// Violations lists the failed SLO checks; the run passed without any.
+	Violations []string
+
+	// Latency sources: "client" is submit→terminal on the client's
+	// clock (exact quantiles), "job" and "decide" are estimated from the
+	// scraped vaschedd_job_seconds / vaschedd_decide_seconds buckets.
+	Latency map[string]Quantiles
+
+	Counts Counts
+
+	// LaneDequeues are the scraped vaschedd_lane_dequeues_total wins per
+	// lane — delivered fairness next to the configured 16/4/1 weights.
+	LaneDequeues map[string]int64
+
+	// PeakDepth is the largest sampled total of queued jobs, and
+	// PeakLaneDepth the largest sampled depth of each lane.
+	PeakDepth     int
+	PeakLaneDepth map[string]int
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vaschedload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+// run parses args, drives the run and prints its report. It returns the
+// result of every run that got as far as measuring, with an error when
+// an SLO check failed.
+func run(args []string, stdout io.Writer) (*result, error) {
 	fs := flag.NewFlagSet("vaschedload", flag.ContinueOnError)
 	var cfg runConfig
 	fs.IntVar(&cfg.jobs, "jobs", 1000, "total jobs in the mix")
@@ -87,24 +132,19 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.laneCap, "lane-cap", 64, "coordinator -lane-cap (spawn mode)")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Minute, "whole-run deadline")
 	fs.StringVar(&cfg.target, "target", "", "existing coordinator base URL; empty spawns a fresh topology")
-	fs.StringVar(&cfg.out, "out", "", "directory to write the LOAD_<date>.json snapshot into; empty skips")
-	fs.StringVar(&cfg.date, "date", "", "snapshot date (default today, ISO-8601)")
 	fs.Float64Var(&cfg.slo.ClientP50, "slo-client-p50", 0, "client p50 SLO seconds; 0 disables")
 	fs.Float64Var(&cfg.slo.ClientP99, "slo-client-p99", 30, "client p99 SLO seconds; 0 disables")
 	fs.Float64Var(&cfg.slo.JobP99, "slo-job-p99", 10, "service job p99 SLO seconds; 0 disables")
 	fs.Float64Var(&cfg.slo.DecideP99, "slo-decide-p99", 1, "scheduler decide p99 SLO seconds; 0 disables")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	if cfg.jobs <= 0 || cfg.tenants <= 0 || cfg.clients <= 0 {
-		return fmt.Errorf("-jobs, -tenants and -clients must be positive")
-	}
-	if cfg.date == "" {
-		cfg.date = time.Now().Format("2006-01-02")
+		return nil, fmt.Errorf("-jobs, -tenants and -clients must be positive")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
@@ -116,12 +156,12 @@ func run(args []string, stdout io.Writer) error {
 	if cfg.target == "" {
 		workDir, err := os.MkdirTemp("", "vaschedload-*")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer os.RemoveAll(workDir)
 		fmt.Fprintf(stdout, "vaschedload: building vaschedd and spawning coordinator (+%d workers)\n", cfg.clusterWorkers)
 		if cl, err = startCluster(cfg, workDir); err != nil {
-			return err
+			return nil, err
 		}
 		defer cl.stop()
 		tgt.set(cl.coord.url)
@@ -149,28 +189,28 @@ func run(args []string, stdout io.Writer) error {
 	elapsed := time.Since(start)
 	stopSampling()
 	if driveErr != nil {
-		return driveErr
+		return nil, driveErr
 	}
 
 	// Zero-lost sweep: every accepted ID must be terminal in the
 	// paginated listing, across any injected crash.
 	lost, err := d.sweepLost(ctx)
 	if err != nil {
-		return fmt.Errorf("lost-job sweep: %w", err)
+		return nil, fmt.Errorf("lost-job sweep: %w", err)
 	}
 
 	// Service-side percentiles from the final scrape.
 	sc, err := d.scrape(ctx)
 	if err != nil {
-		return fmt.Errorf("final metrics scrape: %w", err)
+		return nil, fmt.Errorf("final metrics scrape: %w", err)
 	}
-	latency := map[string]loadsnap.Quantiles{"client": d.tally.quantiles()}
+	latency := map[string]Quantiles{"client": d.tally.quantiles()}
 	for family, key := range map[string]string{
 		"vaschedd_job_seconds":    "job",
 		"vaschedd_decide_seconds": "decide",
 	} {
 		if h, ok := sc.Histogram(family); ok {
-			latency[key] = loadsnap.Quantiles{
+			latency[key] = Quantiles{
 				P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
 			}
 		}
@@ -182,15 +222,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	snap := &loadsnap.Snapshot{
-		Date: cfg.date, GoVersion: runtime.Version(),
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Seed: cfg.seed, Jobs: cfg.jobs, Tenants: cfg.tenants, Clients: cfg.clients,
-		ClusterWorkers: cfg.clusterWorkers, RateHz: cfg.rateHz,
+	res := &result{
 		DurationSec: elapsed.Seconds(),
 		SLO:         cfg.slo,
 		Latency:     latency,
-		Counts: loadsnap.Counts{
+		Counts: Counts{
 			Submitted:   d.tally.submitted.Load(),
 			Done:        d.tally.done.Load(),
 			Cancelled:   d.tally.cancelled.Load(),
@@ -200,44 +236,32 @@ func run(args []string, stdout io.Writer) error {
 			Restarts:    d.tally.restarts.Load(),
 			Lost:        int64(len(lost)),
 		},
-		LaneDequeues: laneDequeues,
+		LaneDequeues:  laneDequeues,
+		PeakLaneDepth: map[string]int{},
 	}
+	// The sampler may still be finishing a scrape: copy under its lock.
 	d.depthMu.Lock()
-	snap.QueueDepth = append([]int(nil), d.depth...)
-	snap.LaneDepth = map[string][]int{}
-	for lane, s := range d.laneDepth {
-		snap.LaneDepth[lane] = append([]int(nil), s...)
+	res.PeakDepth = d.peakDepth
+	for lane, n := range d.peakLaneDepth {
+		res.PeakLaneDepth[lane] = n
 	}
 	d.depthMu.Unlock()
-	terminal := snap.Counts.Done + snap.Counts.Cancelled + snap.Counts.Failed
+	terminal := res.Counts.Done + res.Counts.Cancelled + res.Counts.Failed
 	if elapsed > 0 {
-		snap.JobsPerSec = float64(terminal) / elapsed.Seconds()
+		res.JobsPerSec = float64(terminal) / elapsed.Seconds()
 	}
 
-	violations := evalSLO(snap, lost)
-	snap.SLOPass = len(violations) == 0
-	if snap.SLOPass {
-		snap.MaxSustainedJobsPerSec = snap.JobsPerSec
+	res.Violations = evalSLO(res, lost)
+	report(stdout, res)
+	if len(res.Violations) > 0 {
+		return res, fmt.Errorf("SLO gate failed: %s", strings.Join(res.Violations, "; "))
 	}
-
-	report(stdout, snap, violations)
-
-	if cfg.out != "" && snap.SLOPass {
-		path := filepath.Join(cfg.out, "LOAD_"+cfg.date+".json")
-		if err := snap.Write(path); err != nil {
-			return fmt.Errorf("write snapshot: %w", err)
-		}
-		fmt.Fprintf(stdout, "vaschedload: wrote %s (fingerprint %s)\n", path, snap.Fingerprint())
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("SLO gate failed: %s", strings.Join(violations, "; "))
-	}
-	return nil
+	return res, nil
 }
 
 // evalSLO checks the hard invariants (nothing lost, nothing failed, the
 // fault mix actually fired) and every configured latency threshold.
-func evalSLO(s *loadsnap.Snapshot, lost []uint64) []string {
+func evalSLO(s *result, lost []uint64) []string {
 	var v []string
 	if n := len(lost); n > 0 {
 		show := lost
@@ -262,7 +286,7 @@ func evalSLO(s *loadsnap.Snapshot, lost []uint64) []string {
 }
 
 // report renders the human summary.
-func report(w io.Writer, s *loadsnap.Snapshot, violations []string) {
+func report(w io.Writer, s *result) {
 	c := s.Counts
 	fmt.Fprintf(w, "vaschedload: %d submitted: %d done, %d cancelled, %d failed; %d 429s, %d retries, %d restart(s), %d lost\n",
 		c.Submitted, c.Done, c.Cancelled, c.Failed, c.Rejected429, c.Retries, c.Restarts, c.Lost)
@@ -272,25 +296,34 @@ func report(w io.Writer, s *loadsnap.Snapshot, violations []string) {
 		}
 	}
 	if len(s.LaneDequeues) > 0 {
-		var lanes []string
-		for lane := range s.LaneDequeues {
-			lanes = append(lanes, lane)
-		}
-		sort.Strings(lanes)
-		parts := make([]string, len(lanes))
-		for i, lane := range lanes {
-			parts[i] = fmt.Sprintf("%s %d", lane, s.LaneDequeues[lane])
-		}
-		fmt.Fprintf(w, "vaschedload: lane dequeues (weights %s): %s\n", laneWeightString(), strings.Join(parts, ", "))
+		fmt.Fprintf(w, "vaschedload: lane dequeues (weights %s): %s\n", laneWeightString(), laneCounts(s.LaneDequeues))
+	}
+	if len(s.PeakLaneDepth) > 0 {
+		fmt.Fprintf(w, "vaschedload: peak queue depth %d (%s)\n", s.PeakDepth, laneCounts(s.PeakLaneDepth))
 	}
 	fmt.Fprintf(w, "vaschedload: %.1f jobs/s over %.1fs\n", s.JobsPerSec, s.DurationSec)
-	if len(violations) == 0 {
+	if len(s.Violations) == 0 {
 		fmt.Fprintln(w, "vaschedload: SLO PASS")
 		return
 	}
-	for _, v := range violations {
+	for _, v := range s.Violations {
 		fmt.Fprintf(w, "vaschedload: SLO VIOLATION: %s\n", v)
 	}
+}
+
+// laneCounts renders per-lane counts sorted by lane, e.g.
+// "batch 1, control 16, interactive 4".
+func laneCounts[T int | int64](m map[string]T) string {
+	lanes := make([]string, 0, len(m))
+	for lane := range m {
+		lanes = append(lanes, lane)
+	}
+	sort.Strings(lanes)
+	parts := make([]string, len(lanes))
+	for i, lane := range lanes {
+		parts[i] = fmt.Sprintf("%s %d", lane, m[lane])
+	}
+	return strings.Join(parts, ", ")
 }
 
 // summaryLine renders the mix tallies sharing a prefix, sorted by count

@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-
-	"vasched/internal/loadsnap"
 )
 
 func TestBuildMixDeterministic(t *testing.T) {
@@ -229,19 +226,18 @@ func baseArgs(url string, extra ...string) []string {
 		"-seed", "7", "-cancel-frac", "0.05", "-burst-frac", "0.05",
 		"-timeout", "30s",
 		"-slo-client-p99", "10", "-slo-job-p99", "5", "-slo-decide-p99", "1",
-		"-date", "2026-08-08",
 	}
 	return append(args, extra...)
 }
 
-func TestRunAgainstStubPassesAndWritesSnapshot(t *testing.T) {
+func TestRunAgainstStubPasses(t *testing.T) {
 	st, srv := newStub()
 	defer srv.Close()
 	st.reject429 = 5
-	out := t.TempDir()
 
 	var buf bytes.Buffer
-	if err := run(baseArgs(srv.URL, "-out", out), &buf); err != nil {
+	res, err := run(baseArgs(srv.URL), &buf)
+	if err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "SLO PASS") {
@@ -252,54 +248,49 @@ func TestRunAgainstStubPassesAndWritesSnapshot(t *testing.T) {
 		t.Fatalf("kill-at not disabled under -target:\n%s", buf.String())
 	}
 
-	snap, err := loadsnap.Read(filepath.Join(out, "LOAD_2026-08-08.json"))
-	if err != nil {
-		t.Fatalf("snapshot unreadable: %v", err)
+	if res.Counts.Submitted != 60 {
+		t.Fatalf("submitted = %d, want 60", res.Counts.Submitted)
 	}
-	if snap.Counts.Submitted != 60 {
-		t.Fatalf("submitted = %d, want 60", snap.Counts.Submitted)
+	if res.Counts.Done+res.Counts.Cancelled != 60 {
+		t.Fatalf("terminal = %d done + %d cancelled, want 60", res.Counts.Done, res.Counts.Cancelled)
 	}
-	if snap.Counts.Done+snap.Counts.Cancelled != 60 {
-		t.Fatalf("terminal = %d done + %d cancelled, want 60", snap.Counts.Done, snap.Counts.Cancelled)
-	}
-	if snap.Counts.Cancelled == 0 {
+	if res.Counts.Cancelled == 0 {
 		t.Fatal("no cancellations landed")
 	}
-	if snap.Counts.Rejected429 != 5 {
-		t.Fatalf("rejected429 = %d, want 5", snap.Counts.Rejected429)
+	if res.Counts.Rejected429 != 5 {
+		t.Fatalf("rejected429 = %d, want 5", res.Counts.Rejected429)
 	}
-	if !snap.SLOPass || snap.MaxSustainedJobsPerSec <= 0 {
-		t.Fatalf("SLO pass not recorded: %+v", snap)
+	if len(res.Violations) != 0 || res.JobsPerSec <= 0 {
+		t.Fatalf("SLO pass not recorded: %+v", res)
 	}
 	// Service-side quantiles came from the stub's histogram: p50 in the
 	// first bucket, p99 in the third.
-	if q := snap.Latency["job"]; q.P50 > 0.064 || q.P99 <= 0.256 || q.P99 > 1.024 {
+	if q := res.Latency["job"]; q.P50 > 0.064 || q.P99 <= 0.256 || q.P99 > 1.024 {
 		t.Fatalf("job quantiles = %+v", q)
 	}
-	if got := snap.LaneDequeues["control"]; got != 16 {
-		t.Fatalf("lane dequeues = %+v", snap.LaneDequeues)
+	if got := res.LaneDequeues["control"]; got != 16 {
+		t.Fatalf("lane dequeues = %+v", res.LaneDequeues)
 	}
-	if snap.Fingerprint() == "" {
-		t.Fatal("empty fingerprint")
+	if !strings.Contains(buf.String(), "lane dequeues (weights 16/4/1): batch 1, control 16, interactive 4") {
+		t.Fatalf("report lacks the lane dequeues:\n%s", buf.String())
 	}
 }
 
-func TestRunFailsSLOAndSkipsSnapshot(t *testing.T) {
+func TestRunFailsSLO(t *testing.T) {
 	st, srv := newStub()
 	defer srv.Close()
 	st.decideP99High = true // decide p99 ≈ 4s against a 1s SLO
-	out := t.TempDir()
 
 	var buf bytes.Buffer
-	err := run(baseArgs(srv.URL, "-out", out), &buf)
+	res, err := run(baseArgs(srv.URL), &buf)
 	if err == nil || !strings.Contains(err.Error(), "SLO gate failed") {
 		t.Fatalf("err = %v, want SLO gate failure", err)
 	}
 	if !strings.Contains(err.Error(), "decide p99") {
 		t.Fatalf("violation should name decide p99: %v", err)
 	}
-	if got := loadsnap.Latest(out); got != "" {
-		t.Fatalf("failing run wrote a snapshot: %s", got)
+	if res == nil || len(res.Violations) != 1 || !strings.Contains(buf.String(), "SLO VIOLATION: decide p99") {
+		t.Fatalf("failed SLO not reported: %+v\n%s", res, buf.String())
 	}
 }
 
@@ -309,7 +300,7 @@ func TestRunDetectsLostJobs(t *testing.T) {
 	st.lieInList = true // listing contradicts per-job status: lost-on-replay shape
 
 	var buf bytes.Buffer
-	err := run(baseArgs(srv.URL), &buf)
+	_, err := run(baseArgs(srv.URL), &buf)
 	if err == nil || !strings.Contains(err.Error(), "lost") {
 		t.Fatalf("err = %v, want lost-job violation", err)
 	}
@@ -317,26 +308,26 @@ func TestRunDetectsLostJobs(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-jobs", "0"}, &buf); err == nil {
+	if _, err := run([]string{"-jobs", "0"}, &buf); err == nil {
 		t.Fatal("-jobs 0 accepted")
 	}
-	if err := run([]string{"stray"}, &buf); err == nil {
+	if _, err := run([]string{"stray"}, &buf); err == nil {
 		t.Fatal("stray positional argument accepted")
 	}
-	if err := run([]string{"-no-such-flag"}, &buf); err == nil {
+	if _, err := run([]string{"-no-such-flag"}, &buf); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
 }
 
 func TestEvalSLO(t *testing.T) {
-	s := &loadsnap.Snapshot{
-		SLO:     loadsnap.SLO{ClientP99: 1, JobP99: 1, DecideP99: 1},
-		Latency: map[string]loadsnap.Quantiles{"client": {P99: 0.5}, "job": {P99: 0.5}, "decide": {P99: 0.5}},
+	s := &result{
+		SLO:     SLO{ClientP99: 1, JobP99: 1, DecideP99: 1},
+		Latency: map[string]Quantiles{"client": {P99: 0.5}, "job": {P99: 0.5}, "decide": {P99: 0.5}},
 	}
 	if v := evalSLO(s, nil); len(v) != 0 {
 		t.Fatalf("healthy run violated: %v", v)
 	}
-	s.Latency["job"] = loadsnap.Quantiles{P99: 2}
+	s.Latency["job"] = Quantiles{P99: 2}
 	if v := evalSLO(s, nil); len(v) != 1 || !strings.Contains(v[0], "job p99") {
 		t.Fatalf("violations = %v", v)
 	}
@@ -345,7 +336,7 @@ func TestEvalSLO(t *testing.T) {
 		t.Fatalf("violations = %v", v)
 	}
 	// Disabled thresholds (zero) never fire.
-	s = &loadsnap.Snapshot{Latency: map[string]loadsnap.Quantiles{"client": {P99: 999}}}
+	s = &result{Latency: map[string]Quantiles{"client": {P99: 999}}}
 	if v := evalSLO(s, nil); len(v) != 0 {
 		t.Fatalf("disabled SLO fired: %v", v)
 	}

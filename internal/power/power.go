@@ -103,8 +103,8 @@ func (m Model) blockWeight(b floorplan.Block) float64 {
 // threshold voltage and its nominal static power share at the reference
 // point. Callers that evaluate leakage repeatedly (the thermal fixed point
 // runs per millisecond of simulated time) cache these per-die constants
-// and evaluate refW * LeakageFactor(vthEff) * RandomLeakageUplift through
-// one tech.LeakageLaw instead of calling BlockStaticW.
+// and evaluate refW * Factor(vthEff) * RandomUplift through one
+// tech.LeakageLaw instead of calling BlockStaticW.
 func (m Model) BlockVthEff(maps *varmodel.DieMaps, fp *floorplan.Floorplan, b floorplan.Block) (vthEff, refW float64) {
 	vth := maps.VthMeanOverRect(b.R.X0, b.R.Y0, b.R.X1, b.R.Y1)
 	leff := maps.LeffMeanOverRect(b.R.X0, b.R.Y0, b.R.X1, b.R.Y1)

@@ -59,10 +59,9 @@ func drawParams(rng *rand.Rand) Params {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestLawFormsMatchDirectForms compares the law forms, and the Params
-// methods that wrap them, with the frozen direct forms over drawn
-// parameters and devices, including devices at and below the overdrive
-// cutoff.
+// TestLawFormsMatchDirectForms compares the law forms with the frozen
+// direct forms over drawn parameters and devices, including devices at
+// and below the overdrive cutoff.
 func TestLawFormsMatchDirectForms(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2008, 32))
 	cutoffs := 0
@@ -93,24 +92,15 @@ func TestLawFormsMatchDirectForms(t *testing.T) {
 		if got := delay.Delay(vth, leff, v); !sameBits(got, want) {
 			t.Fatalf("draw %d: DelayAt(%v).Delay(%v, %v, %v) = %v, direct form %v", i, tempC, vth, leff, v, got, want)
 		}
-		if got := p.AlphaPowerDelay(vth, leff, v, tempC); !sameBits(got, want) {
-			t.Fatalf("draw %d: AlphaPowerDelay = %v, direct form %v", i, got, want)
-		}
 
 		leak := p.Leakage()
 		want = refLeakageFactor(p, vth, v, tempC)
 		if got := leak.Factor(vth, v, tempC); !sameBits(got, want) {
 			t.Fatalf("draw %d: Leakage().Factor(%v, %v, %v) = %v, direct form %v", i, vth, v, tempC, got, want)
 		}
-		if got := p.LeakageFactor(vth, v, tempC); !sameBits(got, want) {
-			t.Fatalf("draw %d: LeakageFactor = %v, direct form %v", i, got, want)
-		}
 		want = refRandomLeakageUplift(p, sigma, tempC)
 		if got := leak.RandomUplift(sigma, tempC); !sameBits(got, want) {
 			t.Fatalf("draw %d: Leakage().RandomUplift(%v, %v) = %v, direct form %v", i, sigma, tempC, got, want)
-		}
-		if got := p.RandomLeakageUplift(sigma, tempC); !sameBits(got, want) {
-			t.Fatalf("draw %d: RandomLeakageUplift = %v, direct form %v", i, got, want)
 		}
 	}
 	if cutoffs == 0 {

@@ -161,7 +161,14 @@ func (p Params) DelayAt(tempC float64) DelayLaw {
 }
 
 // Delay returns the relative gate delay of a device with threshold vth
-// and effective length leff at supply v (see AlphaPowerDelay).
+// and effective length leff at supply v and the law's temperature,
+// normalised so that the nominal device at VddNominal and TRatingC has
+// delay 1. Delay follows the alpha-power law
+//
+//	d ~ Leff * V / (V - Vth)^alpha
+//
+// with carrier mobility degrading as temperature rises (T^1.5 scattering),
+// which slows circuits at high temperature.
 func (d *DelayLaw) Delay(vth, leff, v float64) float64 {
 	vthT := vthAtTemp(vth, d.vthTempCoeff, d.tRefC, d.tempC)
 	overdrive := v - vthT
@@ -173,21 +180,6 @@ func (d *DelayLaw) Delay(vth, leff, v float64) float64 {
 	}
 	num := (leff / d.leffNominal) * (v / math.Pow(overdrive, d.alpha))
 	return num / d.den / d.mobility
-}
-
-// AlphaPowerDelay returns the relative gate delay of a device with
-// threshold vth and effective length leff at supply v and temperature
-// tempC, normalised so that the nominal device at VddNominal and TRatingC
-// has delay 1. Delay follows the alpha-power law
-//
-//	d ~ Leff * V / (V - Vth)^alpha
-//
-// with carrier mobility degrading as temperature rises (T^1.5 scattering),
-// which slows circuits at high temperature. Callers that evaluate many
-// devices at one temperature build DelayAt once instead.
-func (p Params) AlphaPowerDelay(vth, leff, v, tempC float64) float64 {
-	d := p.DelayAt(tempC)
-	return d.Delay(vth, leff, v)
 }
 
 // LeakageLaw is the subthreshold leakage law with its Params-only terms
@@ -218,8 +210,13 @@ func (p Params) Leakage() LeakageLaw {
 	}
 }
 
-// Factor returns the relative subthreshold leakage current (see
-// LeakageFactor).
+// Factor returns the relative subthreshold leakage current of a device
+// with threshold vth at supply v and temperature tempC, normalised to 1
+// for the nominal device at VddNominal and TRefC. It captures the three
+// dependences that drive the paper's core-to-core power variation:
+// exponential growth as Vth drops, exponential growth with temperature
+// (both through kT/q and the Vth temperature coefficient), and
+// DIBL-mediated supply dependence.
 func (l *LeakageLaw) Factor(vth, v, tempC float64) float64 {
 	vt := ThermalVoltage(tempC)
 	vthT := vthAtTemp(vth, l.vthTempCoeff, l.tRefC, tempC)
@@ -230,29 +227,9 @@ func (l *LeakageLaw) Factor(vth, v, tempC float64) float64 {
 	return (tK * tK) / l.tRefK2 * (v / l.vddNominal) * expTerm
 }
 
-// RandomUplift returns the mean-leakage inflation from random Vth
-// variation (see RandomLeakageUplift).
-func (l *LeakageLaw) RandomUplift(sigmaVth, tempC float64) float64 {
-	s := l.n * ThermalVoltage(tempC)
-	return math.Exp(sigmaVth * sigmaVth / (2 * s * s))
-}
-
-// LeakageFactor returns the relative subthreshold leakage current of a
-// device with threshold vth at supply v and temperature tempC, normalised
-// to 1 for the nominal device at VddNominal and TRefC. It captures the
-// three dependences that drive the paper's core-to-core power variation:
-// exponential growth as Vth drops, exponential growth with temperature
-// (both through kT/q and the Vth temperature coefficient), and
-// DIBL-mediated supply dependence. Callers that evaluate many devices
-// build Leakage once instead.
-func (p Params) LeakageFactor(vth, v, tempC float64) float64 {
-	l := p.Leakage()
-	return l.Factor(vth, v, tempC)
-}
-
-// RandomLeakageUplift returns the factor by which within-die random Vth
-// variation with standard deviation sigmaVth inflates the expected leakage
-// of a large block relative to a variation-free block. Leakage is
+// RandomUplift returns the factor by which within-die random Vth
+// variation with standard deviation sigmaVth inflates the expected
+// leakage of a large block relative to a variation-free block. Leakage is
 // exponential in -Vth, so a normally distributed Vth yields a lognormal
 // leakage whose mean exceeds the leakage at the mean threshold:
 //
@@ -260,7 +237,7 @@ func (p Params) LeakageFactor(vth, v, tempC float64) float64 {
 //
 // This is the mechanism by which variation increases total chip leakage
 // (paper Section 3).
-func (p Params) RandomLeakageUplift(sigmaVth, tempC float64) float64 {
-	l := p.Leakage()
-	return l.RandomUplift(sigmaVth, tempC)
+func (l *LeakageLaw) RandomUplift(sigmaVth, tempC float64) float64 {
+	s := l.n * ThermalVoltage(tempC)
+	return math.Exp(sigmaVth * sigmaVth / (2 * s * s))
 }

@@ -69,7 +69,8 @@ func TestVthDecreasesWithTemp(t *testing.T) {
 
 func TestAlphaPowerDelayNominalIsOne(t *testing.T) {
 	p := Default()
-	d := p.AlphaPowerDelay(p.VthNominal, p.LeffNominal, p.VddNominal, p.TRatingC)
+	law := p.DelayAt(p.TRatingC)
+	d := law.Delay(p.VthNominal, p.LeffNominal, p.VddNominal)
 	if math.Abs(d-1) > 1e-12 {
 		t.Fatalf("nominal relative delay = %v, want 1", d)
 	}
@@ -77,17 +78,18 @@ func TestAlphaPowerDelayNominalIsOne(t *testing.T) {
 
 func TestAlphaPowerDelayMonotonicity(t *testing.T) {
 	p := Default()
-	base := p.AlphaPowerDelay(p.VthNominal, p.LeffNominal, 0.8, p.TRatingC)
+	law := p.DelayAt(p.TRatingC)
+	base := law.Delay(p.VthNominal, p.LeffNominal, 0.8)
 	// Higher Vth -> slower.
-	if p.AlphaPowerDelay(p.VthNominal+0.05, p.LeffNominal, 0.8, p.TRatingC) <= base {
+	if law.Delay(p.VthNominal+0.05, p.LeffNominal, 0.8) <= base {
 		t.Fatal("delay should rise with Vth")
 	}
 	// Longer channel -> slower.
-	if p.AlphaPowerDelay(p.VthNominal, p.LeffNominal*1.2, 0.8, p.TRatingC) <= base {
+	if law.Delay(p.VthNominal, p.LeffNominal*1.2, 0.8) <= base {
 		t.Fatal("delay should rise with Leff")
 	}
 	// Higher supply -> faster.
-	if p.AlphaPowerDelay(p.VthNominal, p.LeffNominal, 1.0, p.TRatingC) >= base {
+	if law.Delay(p.VthNominal, p.LeffNominal, 1.0) >= base {
 		t.Fatal("delay should fall with supply voltage")
 	}
 }
@@ -96,7 +98,8 @@ func TestAlphaPowerDelayNearThreshold(t *testing.T) {
 	p := Default()
 	// A supply at/below threshold must return +Inf, not panic or go
 	// negative.
-	d := p.AlphaPowerDelay(0.59, p.LeffNominal, 0.6, 60)
+	law := p.DelayAt(60)
+	d := law.Delay(0.59, p.LeffNominal, 0.6)
 	if !math.IsInf(d, 1) {
 		t.Fatalf("near-threshold delay = %v, want +Inf", d)
 	}
@@ -104,7 +107,8 @@ func TestAlphaPowerDelayNearThreshold(t *testing.T) {
 
 func TestLeakageFactorReferencePoint(t *testing.T) {
 	p := Default()
-	got := p.LeakageFactor(p.VthNominal, p.VddNominal, p.TRefC)
+	law := p.Leakage()
+	got := law.Factor(p.VthNominal, p.VddNominal, p.TRefC)
 	if math.Abs(got-1) > 1e-12 {
 		t.Fatalf("reference leakage factor = %v, want 1", got)
 	}
@@ -112,14 +116,15 @@ func TestLeakageFactorReferencePoint(t *testing.T) {
 
 func TestLeakageFactorMonotonicity(t *testing.T) {
 	p := Default()
-	base := p.LeakageFactor(p.VthNominal, 0.8, 60)
-	if p.LeakageFactor(p.VthNominal-0.03, 0.8, 60) <= base {
+	law := p.Leakage()
+	base := law.Factor(p.VthNominal, 0.8, 60)
+	if law.Factor(p.VthNominal-0.03, 0.8, 60) <= base {
 		t.Fatal("leakage should rise as Vth drops")
 	}
-	if p.LeakageFactor(p.VthNominal, 0.8, 95) <= base {
+	if law.Factor(p.VthNominal, 0.8, 95) <= base {
 		t.Fatal("leakage should rise with temperature")
 	}
-	if p.LeakageFactor(p.VthNominal, 1.0, 60) <= base {
+	if law.Factor(p.VthNominal, 1.0, 60) <= base {
 		t.Fatal("leakage should rise with supply (DIBL)")
 	}
 }
@@ -128,8 +133,9 @@ func TestLeakageFactorMagnitude(t *testing.T) {
 	// Low-Vth devices must gain more leakage than high-Vth devices save:
 	// the up/down asymmetry that makes variation increase total leakage.
 	p := Default()
-	up := p.LeakageFactor(p.VthNominal-0.03, 1.0, 60)
-	down := p.LeakageFactor(p.VthNominal+0.03, 1.0, 60)
+	law := p.Leakage()
+	up := law.Factor(p.VthNominal-0.03, 1.0, 60)
+	down := law.Factor(p.VthNominal+0.03, 1.0, 60)
 	if (up - 1) <= (1 - down) {
 		t.Fatalf("leakage asymmetry missing: +%v vs -%v", up-1, 1-down)
 	}
@@ -137,14 +143,15 @@ func TestLeakageFactorMagnitude(t *testing.T) {
 
 func TestRandomLeakageUplift(t *testing.T) {
 	p := Default()
-	if got := p.RandomLeakageUplift(0, 60); got != 1 {
+	law := p.Leakage()
+	if got := law.RandomUplift(0, 60); got != 1 {
 		t.Fatalf("zero-sigma uplift = %v", got)
 	}
-	u := p.RandomLeakageUplift(0.02, 60)
+	u := law.RandomUplift(0.02, 60)
 	if u <= 1 || u > 2 {
 		t.Fatalf("uplift = %v, want slightly above 1", u)
 	}
-	if p.RandomLeakageUplift(0.04, 60) <= u {
+	if law.RandomUplift(0.04, 60) <= u {
 		t.Fatal("uplift should grow with sigma")
 	}
 }
@@ -153,6 +160,7 @@ func TestRandomLeakageUplift(t *testing.T) {
 // positive, for physically plausible inputs.
 func TestDelayLeakagePositiveProperty(t *testing.T) {
 	p := Default()
+	leak := p.Leakage()
 	f := func(dvthRaw, vRaw, tRaw float64) bool {
 		dvth := math.Mod(math.Abs(dvthRaw), 0.1) - 0.05 // +-50 mV
 		v := 0.6 + math.Mod(math.Abs(vRaw), 0.4)        // [0.6, 1.0)
@@ -160,11 +168,12 @@ func TestDelayLeakagePositiveProperty(t *testing.T) {
 		if math.IsNaN(dvth) || math.IsNaN(v) || math.IsNaN(temp) {
 			return true
 		}
-		d := p.AlphaPowerDelay(p.VthNominal+dvth, p.LeffNominal, v, temp)
+		law := p.DelayAt(temp)
+		d := law.Delay(p.VthNominal+dvth, p.LeffNominal, v)
 		if !(d > 0) {
 			return false
 		}
-		l := p.LeakageFactor(p.VthNominal+dvth, v, temp)
+		l := leak.Factor(p.VthNominal+dvth, v, temp)
 		return l > 0 && !math.IsInf(l, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -21,64 +21,9 @@ func benchModel(b *testing.B) (*Model, []float64) {
 	return m, p
 }
 
-// BenchmarkSolve is one steady-state solve on the 20-core floorplan — the
-// kernel inside every leakage-temperature fixed-point iteration.
-func BenchmarkSolve(b *testing.B) {
-	m, p := benchModel(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFixedPoint is the full leakage-temperature loop a chip
-// evaluation pays once per monitor sample.
-func BenchmarkFixedPoint(b *testing.B) {
-	m, p := benchModel(b)
-	leak := make([]float64, m.n)
-	leakFn := func(temps []float64) []float64 {
-		for i, tc := range temps {
-			leak[i] = 0.05 * math.Pow(2, (tc-45)/40)
-		}
-		return leak
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := m.FixedPoint(p, leakFn, 0.01, 60); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTransientStep is the per-sample cost of the inertia-modelling
-// timeline (core.Config.TransientThermal).
-func BenchmarkTransientStep(b *testing.B) {
-	m, p := benchModel(b)
-	tr, err := m.NewTransient(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	temps := make([]float64, m.n)
-	for i := range temps {
-		temps[i] = m.Config().AmbientC
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := tr.Step(p, temps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		copy(temps, out)
-	}
-}
-
-// BenchmarkSolveScratch is BenchmarkSolve through the zero-allocation
-// scratch API — the form the chip evaluator actually runs.
+// BenchmarkSolveScratch is one steady-state solve on the 20-core
+// floorplan into a reused buffer — the kernel inside every
+// leakage-temperature fixed-point iteration.
 func BenchmarkSolveScratch(b *testing.B) {
 	m, p := benchModel(b)
 	dst := make([]float64, m.n)
@@ -91,7 +36,8 @@ func BenchmarkSolveScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkFixedPointScratch is BenchmarkFixedPoint with reused scratch.
+// BenchmarkFixedPointScratch is the full leakage-temperature loop a chip
+// evaluation pays once per monitor sample, with reused scratch.
 func BenchmarkFixedPointScratch(b *testing.B) {
 	m, p := benchModel(b)
 	sc := m.NewFixedPointScratch()
@@ -111,7 +57,8 @@ func BenchmarkFixedPointScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientStepScratch is BenchmarkTransientStep with
+// BenchmarkTransientStepScratch is the per-sample cost of the
+// inertia-modelling timeline (core.Config.TransientThermal), with
 // caller-provided buffers.
 func BenchmarkTransientStepScratch(b *testing.B) {
 	m, p := benchModel(b)

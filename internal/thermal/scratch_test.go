@@ -8,10 +8,11 @@ import (
 	"vasched/internal/stats"
 )
 
-// TestSolveIntoMatchesSolve locks the scratch API to the allocating one:
+// TestSolveIntoMatchesSolve locks buffer reuse out of the result:
 // reusing one destination buffer across many solves must give bit-for-bit
-// the same temperatures as a fresh Solve, and every reused-scratch solve
-// must still satisfy the steady-state energy balance to < 1e-9 relative.
+// the same temperatures as solve, which solves into a fresh buffer, and
+// every reused-buffer solve must still satisfy the steady-state energy
+// balance to < 1e-9 relative.
 func TestSolveIntoMatchesSolve(t *testing.T) {
 	fp := floorplan.New20CoreCMP()
 	m, err := New(fp, DefaultConfig())
@@ -27,17 +28,14 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 			p[i] = (20 + 60*rng.Float64()) * b.R.Area()
 			total += p[i]
 		}
-		want, err := m.Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := solve(t, m, p)
 		if err := m.SolveInto(dst, p); err != nil {
 			t.Fatal(err)
 		}
 		out := 0.0
 		for i, tc := range dst {
 			if tc != want[i] {
-				t.Fatalf("trial %d block %d: SolveInto %v != Solve %v", trial, i, tc, want[i])
+				t.Fatalf("trial %d block %d: reused buffer %v != fresh buffer %v", trial, i, tc, want[i])
 			}
 			out += m.gVert[i] * (tc - m.cfg.AmbientC)
 		}
@@ -48,7 +46,8 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 }
 
 // TestFixedPointWithMatchesFixedPoint verifies the leakage fixed point is
-// bit-for-bit unchanged when run with reused scratch.
+// bit-for-bit unchanged when run with reused scratch instead of the fresh
+// buffers fixedPoint passes (a nil scratch).
 func TestFixedPointWithMatchesFixedPoint(t *testing.T) {
 	fp := floorplan.New20CoreCMP()
 	m, err := New(fp, DefaultConfig())
@@ -69,10 +68,7 @@ func TestFixedPointWithMatchesFixedPoint(t *testing.T) {
 		for i, b := range fp.Blocks {
 			p[i] = (10 + 70*rng.Float64()) * b.R.Area()
 		}
-		wantT, _, wantIt, err := m.FixedPoint(p, leakFn, 0.01, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantT, _, wantIt := fixedPoint(t, m, p, leakFn, 0.01, 60)
 		gotT, _, gotIt, err := m.FixedPointWith(sc, p, leakFn, 0.01, 60)
 		if err != nil {
 			t.Fatal(err)
@@ -82,14 +78,15 @@ func TestFixedPointWithMatchesFixedPoint(t *testing.T) {
 		}
 		for i := range wantT {
 			if gotT[i] != wantT[i] {
-				t.Fatalf("trial %d block %d: FixedPointWith %v != FixedPoint %v", trial, i, gotT[i], wantT[i])
+				t.Fatalf("trial %d block %d: reused scratch %v != fresh buffers %v", trial, i, gotT[i], wantT[i])
 			}
 		}
 	}
 }
 
 // TestStepIntoMatchesStep verifies the transient stepper is bit-for-bit
-// unchanged when run with caller-provided buffers.
+// unchanged when its destination and right-hand-side buffers are reused
+// across steps instead of the fresh ones step passes.
 func TestStepIntoMatchesStep(t *testing.T) {
 	fp := floorplan.New20CoreCMP()
 	m, err := New(fp, DefaultConfig())
@@ -108,20 +105,17 @@ func TestStepIntoMatchesStep(t *testing.T) {
 	}
 	dst := make([]float64, m.n)
 	rhs := make([]float64, m.n)
-	for step := 0; step < 30; step++ {
+	for k := 0; k < 30; k++ {
 		for i, b := range fp.Blocks {
 			p[i] = (5 + 80*rng.Float64()) * b.R.Area()
 		}
-		want, err := tr.Step(p, prev)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := step(t, tr, p, prev)
 		if err := tr.StepInto(dst, rhs, p, prev); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if dst[i] != want[i] {
-				t.Fatalf("step %d block %d: StepInto %v != Step %v", step, i, dst[i], want[i])
+				t.Fatalf("step %d block %d: reused buffers %v != fresh buffers %v", k, i, dst[i], want[i])
 			}
 		}
 		copy(prev, want)

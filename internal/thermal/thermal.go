@@ -63,7 +63,7 @@ type blockArea struct {
 	area  float64
 }
 
-// New builds the conductance matrix for fp and factors it once; Solve then
+// New builds the conductance matrix for fp and factors it once; SolveInto then
 // costs one pair of triangular substitutions per call.
 func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if !(cfg.VerticalConductance > 0) || math.IsInf(cfg.VerticalConductance, 1) ||
@@ -133,7 +133,7 @@ func (m *Model) Config() Config { return m.cfg }
 
 // SolveInto computes the steady-state block temperatures in Celsius for
 // the given per-block power in watts into the caller-provided dst, which
-// must not alias powerW. It is the zero-allocation form of Solve.
+// must not alias powerW.
 func (m *Model) SolveInto(dst, powerW []float64) error {
 	if len(powerW) != m.n {
 		return fmt.Errorf("thermal: power vector has %d entries, want %d", len(powerW), m.n)
@@ -154,28 +154,6 @@ func (m *Model) SolveInto(dst, powerW []float64) error {
 	return nil
 }
 
-// Solve returns the steady-state block temperatures in Celsius for the
-// given per-block power in watts.
-func (m *Model) Solve(powerW []float64) ([]float64, error) {
-	t := make([]float64, m.n)
-	if err := m.SolveInto(t, powerW); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// FixedPoint iterates the leakage-temperature loop: dynPowerW is the
-// temperature-independent per-block power; leakage(temps) returns the
-// per-block leakage at the given block temperatures. Iteration continues
-// until the largest block-temperature change falls below tolC (damped to
-// guarantee convergence) or maxIter is reached.
-//
-// It returns the converged temperatures, the per-block leakage at those
-// temperatures, and the number of iterations used.
-func (m *Model) FixedPoint(dynPowerW []float64, leakage func(tempsC []float64) []float64, tolC float64, maxIter int) ([]float64, []float64, int, error) {
-	return m.FixedPointWith(nil, dynPowerW, leakage, tolC, maxIter)
-}
-
 // FixedPointScratch holds the iteration buffers of FixedPointWith so the
 // inner DVFS loop can run the leakage fixed point without allocating. A
 // scratch must not be used by two fixed points concurrently.
@@ -192,10 +170,16 @@ func (m *Model) NewFixedPointScratch() *FixedPointScratch {
 	}
 }
 
-// FixedPointWith is FixedPoint with caller-provided scratch. The returned
-// temperature slice aliases sc.temps and is only valid until the scratch's
-// next use; callers that retain it must copy. A nil sc allocates fresh
-// buffers, making it equivalent to FixedPoint.
+// FixedPointWith iterates the leakage-temperature loop: dynPowerW is the
+// temperature-independent per-block power; leakage(temps) returns the
+// per-block leakage at the given block temperatures. Iteration continues
+// until the largest block-temperature change falls below tolC (damped to
+// guarantee convergence) or maxIter is reached.
+//
+// It returns the converged temperatures, the per-block leakage at those
+// temperatures, and the number of iterations used. The temperature slice
+// aliases sc.temps and is only valid until the scratch's next use;
+// callers that retain it must copy. A nil sc allocates fresh buffers.
 func (m *Model) FixedPointWith(sc *FixedPointScratch, dynPowerW []float64, leakage func(tempsC []float64) []float64, tolC float64, maxIter int) ([]float64, []float64, int, error) {
 	if len(dynPowerW) != m.n {
 		return nil, nil, 0, fmt.Errorf("thermal: power vector has %d entries, want %d", len(dynPowerW), m.n)
@@ -325,9 +309,6 @@ func (m *Model) NewTransient(dtMS float64) (*Transient, error) {
 	return &Transient{m: m, dtSec: dt, lu: lu, cOver: cOver}, nil
 }
 
-// StepMS returns the stepper's step length in milliseconds.
-func (tr *Transient) StepMS() float64 { return tr.dtSec * 1000 }
-
 // StepInto advances one time step from prevTempsC under the given
 // per-block power, writing the new block temperatures into dst using rhs
 // as scratch. dst and rhs must each be n long and must not alias powerW,
@@ -355,15 +336,4 @@ func (tr *Transient) StepInto(dst, rhs, powerW, prevTempsC []float64) error {
 		dst[i] = tc
 	}
 	return nil
-}
-
-// Step advances one time step from prevTempsC under the given per-block
-// power and returns the new block temperatures.
-func (tr *Transient) Step(powerW, prevTempsC []float64) ([]float64, error) {
-	out := make([]float64, tr.m.n)
-	rhs := make([]float64, tr.m.n)
-	if err := tr.StepInto(out, rhs, powerW, prevTempsC); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

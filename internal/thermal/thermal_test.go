@@ -16,12 +16,39 @@ func newTestModel(t *testing.T) *Model {
 	return m
 }
 
-func TestZeroPowerIsAmbient(t *testing.T) {
-	m := newTestModel(t)
-	temps, err := m.Solve(make([]float64, len(floorplan.New20CoreCMP().Blocks)))
+// solve returns SolveInto's temperatures in a fresh slice.
+func solve(t *testing.T, m *Model, powerW []float64) []float64 {
+	t.Helper()
+	dst := make([]float64, m.n)
+	if err := m.SolveInto(dst, powerW); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// fixedPoint runs FixedPointWith on fresh buffers (a nil scratch).
+func fixedPoint(t *testing.T, m *Model, dynPowerW []float64, leakage func([]float64) []float64, tolC float64, maxIter int) (temps, leak []float64, iters int) {
+	t.Helper()
+	temps, leak, iters, err := m.FixedPointWith(nil, dynPowerW, leakage, tolC, maxIter)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return temps, leak, iters
+}
+
+// step returns StepInto's temperatures in a fresh slice.
+func step(t *testing.T, tr *Transient, powerW, prevTempsC []float64) []float64 {
+	t.Helper()
+	dst, rhs := make([]float64, len(powerW)), make([]float64, len(powerW))
+	if err := tr.StepInto(dst, rhs, powerW, prevTempsC); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+func TestZeroPowerIsAmbient(t *testing.T) {
+	m := newTestModel(t)
+	temps := solve(t, m, make([]float64, len(floorplan.New20CoreCMP().Blocks)))
 	for i, tc := range temps {
 		if math.Abs(tc-m.Config().AmbientC) > 1e-9 {
 			t.Fatalf("block %d at %v C with no power", i, tc)
@@ -37,10 +64,7 @@ func TestUniformPowerPlausibleRange(t *testing.T) {
 	for i, b := range fp.Blocks {
 		p[i] = 90 * b.R.Area()
 	}
-	temps, err := m.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := solve(t, m, p)
 	maxT := m.MaxTemp(temps)
 	if maxT < 60 || maxT > 110 {
 		t.Fatalf("full-chip 90 W peak temp = %v C, outside plausible range", maxT)
@@ -60,10 +84,7 @@ func TestHotSpotLocality(t *testing.T) {
 			p[i] = 1.0 // 6 W total in core 0
 		}
 	}
-	temps, err := m.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := solve(t, m, p)
 	hot := m.CoreMeanTemp(temps, 0)
 	cold := m.CoreMeanTemp(temps, 19)
 	if hot <= cold+1 {
@@ -84,10 +105,7 @@ func TestLateralSpreading(t *testing.T) {
 			p[i] = 1.0
 		}
 	}
-	temps, err := m.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := solve(t, m, p)
 	neighbour := m.CoreMeanTemp(temps, 1) // core 1 is adjacent to core 0
 	distant := m.CoreMeanTemp(temps, 19)
 	if neighbour <= distant {
@@ -109,10 +127,7 @@ func TestEnergyBalance(t *testing.T) {
 		p[i] = 50 * b.R.Area()
 		total += p[i]
 	}
-	temps, err := m.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := solve(t, m, p)
 	out := 0.0
 	for i := range temps {
 		out += m.gVert[i] * (temps[i] - m.Config().AmbientC)
@@ -141,10 +156,7 @@ func TestFixedPointConvergence(t *testing.T) {
 		}
 		return leak
 	}
-	temps, leak, iters, err := m.FixedPoint(dyn, leakFn, 0.01, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps, leak, iters := fixedPoint(t, m, dyn, leakFn, 0.01, 100)
 	if iters >= 100 {
 		t.Fatalf("fixed point did not converge in %d iterations", iters)
 	}
@@ -154,10 +166,7 @@ func TestFixedPointConvergence(t *testing.T) {
 	for i := range total {
 		total[i] = dyn[i] + leak[i]
 	}
-	check, err := m.Solve(total)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check := solve(t, m, total)
 	for i := range temps {
 		if math.Abs(check[i]-temps[i]) > 0.1 {
 			t.Fatalf("fixed point inconsistent at block %d: %v vs %v", i, check[i], temps[i])
@@ -167,20 +176,20 @@ func TestFixedPointConvergence(t *testing.T) {
 
 func TestFixedPointValidation(t *testing.T) {
 	m := newTestModel(t)
-	if _, _, _, err := m.FixedPoint([]float64{1, 2}, nil, 0.01, 10); err == nil {
+	if _, _, _, err := m.FixedPointWith(nil, []float64{1, 2}, nil, 0.01, 10); err == nil {
 		t.Fatal("wrong-size power vector accepted")
 	}
 	fp := floorplan.New20CoreCMP()
 	dyn := make([]float64, len(fp.Blocks))
 	badLeak := func([]float64) []float64 { return []float64{1} }
-	if _, _, _, err := m.FixedPoint(dyn, badLeak, 0.01, 10); err == nil {
+	if _, _, _, err := m.FixedPointWith(nil, dyn, badLeak, 0.01, 10); err == nil {
 		t.Fatal("wrong-size leakage vector accepted")
 	}
 }
 
 func TestSolveValidation(t *testing.T) {
 	m := newTestModel(t)
-	if _, err := m.Solve([]float64{1}); err == nil {
+	if err := m.SolveInto(make([]float64, 1), []float64{1}); err == nil {
 		t.Fatal("wrong-size power vector accepted")
 	}
 }
@@ -230,10 +239,7 @@ func TestMaxTempClamp(t *testing.T) {
 	for i := range p {
 		p[i] = 100 // absurd 12 kW chip
 	}
-	temps, err := m.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := solve(t, m, p)
 	if m.MaxTemp(temps) > m.Config().MaxTempC {
 		t.Fatal("clamp not applied")
 	}
@@ -249,10 +255,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	for i, b := range fp.Blocks {
 		p[i] = 80 * b.R.Area()
 	}
-	steady, err := m.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	steady := solve(t, m, p)
 	tr, err := m.NewTransient(1)
 	if err != nil {
 		t.Fatal(err)
@@ -262,11 +265,8 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 		temps[i] = m.Config().AmbientC
 	}
 	// March long enough to pass several thermal time constants.
-	for step := 0; step < 2000; step++ {
-		temps, err = tr.Step(p, temps)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for k := 0; k < 2000; k++ {
+		temps = step(t, tr, p, temps)
 	}
 	for i := range temps {
 		if math.Abs(temps[i]-steady[i]) > 0.5 {
@@ -289,10 +289,7 @@ func TestTransientInertia(t *testing.T) {
 			p[i] = 1.5
 		}
 	}
-	steady, err := m.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	steady := solve(t, m, p)
 	tr, err := m.NewTransient(1)
 	if err != nil {
 		t.Fatal(err)
@@ -301,10 +298,7 @@ func TestTransientInertia(t *testing.T) {
 	for i := range cold {
 		cold[i] = m.Config().AmbientC
 	}
-	after, err := tr.Step(p, cold)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := step(t, tr, p, cold)
 	hot := m.CoreMeanTemp(steady, 0) - m.Config().AmbientC
 	oneStep := m.CoreMeanTemp(after, 0) - m.Config().AmbientC
 	if oneStep <= 0 {
@@ -312,9 +306,6 @@ func TestTransientInertia(t *testing.T) {
 	}
 	if oneStep > 0.6*hot {
 		t.Fatalf("1 ms step covered %v of the %v K rise; no inertia", oneStep, hot)
-	}
-	if tr.StepMS() != 1 {
-		t.Fatalf("StepMS = %v", tr.StepMS())
 	}
 }
 
@@ -327,7 +318,7 @@ func TestTransientValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Step([]float64{1}, []float64{2}); err == nil {
+	if err := tr.StepInto(make([]float64, 1), make([]float64, 1), []float64{1}, []float64{2}); err == nil {
 		t.Fatal("wrong-size step accepted")
 	}
 }
