@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint check race bench benchsmoke benchtest ci fuzzseed benchcheck cover goldens goldens-check loadtest clean
+.PHONY: all build test vet lint check race bench benchtest ci fuzzseed benchcheck cover goldens goldens-check loadtest clean
 
 all: check
 
@@ -40,15 +40,12 @@ race:
 	$(GO) test -race ./...
 
 # check is the tier-1+ gate: vet, build, the race-enabled test suite, and
-# one pass of every benchmark (-benchtime=1x) so the bench code can't
-# silently rot between perf passes.
-check: vet build race benchsmoke
+# bench.
+check: vet build race bench
 
-benchsmoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./...
-
-# bench runs the paper-artefact benchmarks (quick scale) including the
-# farm serial-vs-parallel comparison.
+# bench runs every benchmark once (-benchtime=1x), the paper-artefact
+# ones at quick scale, so the bench code can't silently rot between perf
+# passes; the nightly workflow uploads its output.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
@@ -61,7 +58,7 @@ benchtest:
 # ci is the full gate: vet, build, race-enabled tests (includes the
 # golden-file experiment test), the benchmark module's tests, the
 # coverage gate, the fuzz targets (lp, anneal, shard codec, WAL record,
-# config hash, LU solve, RNG stream, FFT prefix) run for 10s each, and
+# die blob, LU solve, RNG stream, FFT prefix) run for 10s each, and
 # benchcheck, the paired perf gate on the working tree's uncommitted
 # change. The hosted pipeline (.github/workflows/ci.yml) runs the same
 # steps as parallel jobs; its perf job runs the gate against a pull
@@ -79,13 +76,14 @@ fuzzseed:
 	$(GO) test -fuzz FuzzForwardPrefix -fuzztime 10s ./internal/fft
 
 # cover prints per-package statement coverage and fails if any of the
-# gated packages (the concurrency- and protocol-heavy ones, the perf
+# gated packages (the concurrency- and protocol-heavy ones, the binary
+# codec every protocol shares, the perf
 # gate, the die generation path that workers share, the chip evaluation
 # with the thermal kernel every evaluation rides, the device laws,
 # floorplan and power model every chip is built from, and the random
 # stream and the annealer every golden depends on) drops below 80%. Numbers are
 # recorded in EXPERIMENTS.md ("Coverage gate").
-COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/cmd/benchstatus vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip vasched/internal/stats vasched/internal/anneal vasched/internal/tech vasched/internal/floorplan vasched/internal/power
+COVER_GATED = vasched/internal/cluster vasched/internal/wire vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/cmd/benchstatus vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload vasched/internal/grf vasched/internal/fft vasched/internal/varmodel vasched/internal/linsolve vasched/internal/thermal vasched/internal/chip vasched/internal/stats vasched/internal/anneal vasched/internal/tech vasched/internal/floorplan vasched/internal/power
 
 # The timeline engine carries a higher bar: core's tick loop integrates
 # four subsystems (thermal, power, scheduling, wearout) plus the optional

@@ -189,6 +189,17 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestOverlongCoordIDRefused: a -coord-id longer than a WAL record can
+// hold stops the server at start, with or without a data directory,
+// instead of writing an epoch record the next boot could not replay.
+func TestOverlongCoordIDRefused(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		if _, err := newServer(serverConfig{CoordID: strings.Repeat("c", 2000), DataDir: dir}); err == nil {
+			t.Fatalf("data dir %q: a 2,000-byte coordinator id was accepted", dir)
+		}
+	}
+}
+
 // TestSubmitBodyBounds checks the submit decoder's limits: an oversized
 // body is refused with 413 before it is buffered, and unknown fields or
 // data after the object are malformed requests.

@@ -297,7 +297,10 @@ func (c *Client) Run(ctx context.Context, job Job, indices []int) ([][]byte, err
 // worker off and retry on another one.
 func (c *Client) runShard(ctx context.Context, job Job, dies []int) ([][]byte, error) {
 	req := &ShardRequest{Kernel: job.Kernel, Scale: job.Scale, Seed: job.Seed, BatchSeed: job.BatchSeed, ConfigHash: job.ConfigHash, Dies: dies}
-	payload := EncodeRequest(req)
+	payload, err := EncodeRequest(req)
+	if err != nil {
+		return nil, err
+	}
 
 	var lastErr error
 	var avoid *worker

@@ -9,9 +9,9 @@
 // collection (the coordinator reduces shard results serially in die-index
 // order). The cluster layer adds the distribution machinery around them:
 //
-//   - a compact binary wire format (this file) with an FNV-64a integrity
-//     checksum, so corrupted responses are detected and retried rather
-//     than silently reduced;
+//   - a compact binary wire format (this file, in internal/wire's field
+//     forms) with an FNV-64a integrity checksum, so corrupted responses
+//     are detected and retried rather than silently reduced;
 //   - a coordinator Client (client.go) with a health-checked worker
 //     registry, per-shard timeouts, capped exponential backoff with
 //     retry-on-another-worker, hedged re-dispatch of straggler shards,
@@ -25,31 +25,31 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+
+	"vasched/internal/wire"
 )
 
 // Wire-format magics ("vcq2" request, "vcr1" response) double as version
 // tags: any incompatible change bumps the trailing digit. vcq1 → vcq2
 // added the model-config hash, so a mixed-version cluster fails loudly
 // at decode instead of skipping the hash check.
-var (
-	reqMagic  = [4]byte{'v', 'c', 'q', '2'}
-	respMagic = [4]byte{'v', 'c', 'r', '1'}
+const (
+	reqMagic  = "vcq2"
+	respMagic = "vcr1"
 )
 
-// Decode limits. They bound allocation on malformed input (the fuzz
-// target feeds arbitrary bytes) and are far above anything a real
-// experiment ships: the paper's batches are 200 dies, and per-die blobs
-// are small JSON documents.
+// Field caps. The encoders refuse and the decoders reject anything over
+// them; they bound allocation on malformed input (the fuzz target feeds
+// arbitrary bytes) and are far above anything a real experiment ships:
+// the paper's batches are 200 dies, and per-die blobs are small JSON
+// documents.
 const (
-	maxNameLen  = 1 << 10 // kernel / scale strings
-	maxDies     = 1 << 20 // die indices per shard
-	maxBlobLen  = 1 << 26 // one die's serialized result
-	maxBlobs    = 1 << 20
-	checksumLen = 8
+	maxNameLen = 1 << 10 // kernel / scale strings
+	maxDies    = 1 << 20 // die indices per shard
+	maxBlobLen = 1 << 26 // one die's serialized result
+	maxBlobs   = 1 << 20
 )
 
 // ErrCorrupt is returned by the decoders for any malformed payload —
@@ -57,12 +57,6 @@ const (
 // integrity-checksum mismatch. The client treats it like a transport
 // failure: the shard is retried, preferably on another worker.
 var ErrCorrupt = errors.New("cluster: corrupt payload")
-
-// corruptf wraps ErrCorrupt with detail (errors.Is(err, ErrCorrupt)
-// still holds).
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
-}
 
 // ShardRequest asks a worker to run one registered die kernel over an
 // explicit list of die (or task) indices. Explicit indices — rather than
@@ -93,201 +87,85 @@ type ShardResponse struct {
 	Blobs [][]byte
 }
 
-// appendChecksum appends the FNV-64a of buf to buf.
-func appendChecksum(buf []byte) []byte {
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum(buf)
-}
-
-// splitChecksum verifies and strips the trailing checksum.
-func splitChecksum(buf []byte) ([]byte, error) {
-	if len(buf) < checksumLen {
-		return nil, corruptf("short payload (%d bytes)", len(buf))
-	}
-	body, sum := buf[:len(buf)-checksumLen], buf[len(buf)-checksumLen:]
-	h := fnv.New64a()
-	h.Write(body)
-	if string(h.Sum(nil)) != string(sum) {
-		return nil, corruptf("checksum mismatch")
-	}
-	return body, nil
-}
-
-// EncodeRequest serialises a shard request.
-func EncodeRequest(r *ShardRequest) []byte {
-	buf := make([]byte, 0, 4+2+len(r.Kernel)+2+len(r.Scale)+24+4+4*len(r.Dies)+checksumLen)
-	buf = append(buf, reqMagic[:]...)
-	buf = appendString(buf, r.Kernel)
-	buf = appendString(buf, r.Scale)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Seed))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.BatchSeed))
-	buf = binary.LittleEndian.AppendUint64(buf, r.ConfigHash)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Dies)))
+// EncodeRequest serialises a shard request. A field over its cap is an
+// error wrapping wire.ErrTooLong.
+func EncodeRequest(r *ShardRequest) ([]byte, error) {
+	w := wire.Writer{Buf: make([]byte, 0, 4+2+len(r.Kernel)+2+len(r.Scale)+24+4+4*len(r.Dies)+wire.SumLen)}
+	w.Raw(reqMagic)
+	w.Str(r.Kernel, maxNameLen)
+	w.Str(r.Scale, maxNameLen)
+	w.U64(uint64(r.Seed))
+	w.U64(uint64(r.BatchSeed))
+	w.U64(r.ConfigHash)
+	w.Count(len(r.Dies), maxDies)
 	for _, d := range r.Dies {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+		w.U32(uint32(d))
 	}
-	return appendChecksum(buf)
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("cluster: encoding shard request: %w", err)
+	}
+	return wire.AppendSum(w.Buf), nil
 }
 
 // DecodeRequest parses a shard request, tolerating arbitrary malformed
 // input (it returns ErrCorrupt rather than panicking or over-allocating).
 func DecodeRequest(buf []byte) (*ShardRequest, error) {
-	body, err := splitChecksum(buf)
+	body, err := wire.SplitSum(buf, ErrCorrupt)
 	if err != nil {
 		return nil, err
 	}
-	d := decoder{buf: body}
-	var magic [4]byte
-	d.bytes(magic[:])
-	if magic != reqMagic {
-		return nil, corruptf("bad request magic %q", magic[:])
-	}
+	d := wire.NewReader(body, ErrCorrupt)
+	d.Magic(reqMagic)
 	r := &ShardRequest{}
-	r.Kernel = d.str()
-	r.Scale = d.str()
-	r.Seed = int64(d.u64())
-	r.BatchSeed = int64(d.u64())
-	r.ConfigHash = d.u64()
-	n := int(d.u32())
-	if n < 0 || n > maxDies || d.err == nil && n*4 > len(d.buf)-d.off {
-		return nil, corruptf("die count %d overruns payload", n)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	r.Dies = make([]int, n)
+	r.Kernel = d.Str(maxNameLen)
+	r.Scale = d.Str(maxNameLen)
+	r.Seed = int64(d.U64())
+	r.BatchSeed = int64(d.U64())
+	r.ConfigHash = d.U64()
+	r.Dies = make([]int, d.Count(maxDies, 4))
 	for i := range r.Dies {
-		r.Dies[i] = int(int32(d.u32()))
+		r.Dies[i] = int(int32(d.U32()))
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, corruptf("%d trailing bytes", len(d.buf)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// EncodeResponse serialises a shard response.
-func EncodeResponse(r *ShardResponse) []byte {
-	size := 4 + 4 + checksumLen
+// EncodeResponse serialises a shard response. A blob over its cap is an
+// error wrapping wire.ErrTooLong.
+func EncodeResponse(r *ShardResponse) ([]byte, error) {
+	size := 4 + 4 + wire.SumLen
 	for _, b := range r.Blobs {
 		size += 4 + len(b)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, respMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Blobs)))
+	w := wire.Writer{Buf: make([]byte, 0, size)}
+	w.Raw(respMagic)
+	w.Count(len(r.Blobs), maxBlobs)
 	for _, b := range r.Blobs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
+		w.Blob(b, maxBlobLen)
 	}
-	return appendChecksum(buf)
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("cluster: encoding shard response: %w", err)
+	}
+	return wire.AppendSum(w.Buf), nil
 }
 
 // DecodeResponse parses a shard response with the same malformed-input
 // tolerance as DecodeRequest.
 func DecodeResponse(buf []byte) (*ShardResponse, error) {
-	body, err := splitChecksum(buf)
+	body, err := wire.SplitSum(buf, ErrCorrupt)
 	if err != nil {
 		return nil, err
 	}
-	d := decoder{buf: body}
-	var magic [4]byte
-	d.bytes(magic[:])
-	if magic != respMagic {
-		return nil, corruptf("bad response magic %q", magic[:])
+	d := wire.NewReader(body, ErrCorrupt)
+	d.Magic(respMagic)
+	r := &ShardResponse{Blobs: make([][]byte, d.Count(maxBlobs, 4))}
+	for i := range r.Blobs {
+		r.Blobs[i] = d.Blob(maxBlobLen)
 	}
-	n := int(d.u32())
-	if n < 0 || n > maxBlobs {
-		return nil, corruptf("blob count %d", n)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	r := &ShardResponse{Blobs: make([][]byte, 0, min(n, (len(d.buf)-d.off)/4+1))}
-	for i := 0; i < n; i++ {
-		ln := int(d.u32())
-		if ln < 0 || ln > maxBlobLen || d.err == nil && ln > len(d.buf)-d.off {
-			return nil, corruptf("blob %d length %d overruns payload", i, ln)
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		b := make([]byte, ln)
-		d.bytes(b)
-		r.Blobs = append(r.Blobs, b)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, corruptf("%d trailing bytes", len(d.buf)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return r, nil
-}
-
-// appendString appends a u16-length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-// decoder is a bounds-checked cursor over a payload; the first overrun
-// latches err and every later read returns zero values.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.err = corruptf("truncated at offset %d (want %d bytes of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) bytes(dst []byte) {
-	if b := d.take(len(dst)); b != nil {
-		copy(dst, b)
-	}
-}
-
-func (d *decoder) u16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (d *decoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *decoder) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (d *decoder) str() string {
-	n := int(d.u16())
-	if n > maxNameLen {
-		if d.err == nil {
-			d.err = corruptf("string length %d", n)
-		}
-		return ""
-	}
-	return string(d.take(n))
 }

@@ -67,11 +67,17 @@ func Handler(ex Executor, reg *metrics.Registry) http.Handler {
 			http.Error(w, fmt.Sprintf("executor returned %d blobs for %d dies", len(resp.Blobs), len(req.Dies)), http.StatusInternalServerError)
 			return
 		}
+		out, err := EncodeResponse(resp)
+		if err != nil {
+			reg.Counter(`worker_shards_total{status="failed"}`).Inc()
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		reg.Counter(`worker_shards_total{status="ok"}`).Inc()
 		reg.Counter(`worker_dies_total`).Add(int64(len(req.Dies)))
 		reg.Histogram(`worker_shard_seconds`).Observe(time.Since(start).Seconds())
 		w.Header().Set("Content-Type", contentType)
-		w.Write(EncodeResponse(resp))
+		w.Write(out)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -1,26 +1,62 @@
+// Package diecache is the content-addressed cache in front of die
+// generation. A die is a pure function of (model configuration,
+// batchSeed, index), so a hash of the configuration plus the two seed
+// coordinates fully identifies its maps. The cache layers an in-memory
+// LRU of built values over an optional checksummed on-disk blob store of
+// raw die maps, collapses concurrent fills for one key (single-flight),
+// and counts hits, misses and bytes through internal/metrics.
 package diecache
 
 import (
 	"container/list"
 	"context"
+	"fmt"
+	"hash/fnv"
 	"log"
 	"sync"
 
+	"vasched/internal/delay"
 	"vasched/internal/grf"
 	"vasched/internal/metrics"
+	"vasched/internal/power"
+	"vasched/internal/thermal"
 	"vasched/internal/trace"
 	"vasched/internal/varmodel"
 )
 
-// Key is the content address of one characterised die: the canonical
-// hash of every configuration input that shapes it (see ConfigHash),
-// the batch it belongs to, and its index within the batch. Two Envs —
-// or two processes, or two cluster workers — with equal keys hold
+// Key is the content address of one characterised die: the hash of
+// every configuration input that shapes it (see ConfigHash), the batch
+// it belongs to, and its index within the batch. Two Envs — or two
+// processes, or two cluster workers — with equal keys hold
 // bit-identical dies and may share entries at every cache layer.
 type Key struct {
 	ConfigHash uint64
 	BatchSeed  int64
 	Die        int
+}
+
+// ConfigHash returns the FNV-64a hash of the four model configurations
+// that shape a die, printed with %#v: the first coordinate of a Key.
+// %#v names every type and field and prints each float64 in its
+// shortest exact form, so two tuples hash equal exactly when every field
+// is equal (collisions aside), and renaming, reordering or adding a
+// field changes every hash: schema drift strands old cache entries
+// rather than aliasing them. The configs hold only numbers and structs
+// of numbers; a pointer would print as an address, which
+// TestConfigHashEqualsSemanticEquality refuses.
+func ConfigHash(vc varmodel.Config, dc delay.Config, pm power.Model, tc thermal.Config) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v\n%#v\n%#v\n%#v", vc, dc, pm, tc)
+	return h.Sum64()
+}
+
+// Source generates the die a key names; *varmodel.Generator is the one
+// the experiments use. Its Config completes a die read back from a
+// blob, which holds only the maps: the key's hash already covers the
+// config.
+type Source interface {
+	Config() varmodel.Config
+	Die(batchSeed int64, index int) (*varmodel.DieMaps, error)
 }
 
 // entry is a single-flight slot: the first requester fills, every
@@ -83,12 +119,12 @@ func (c *Cache) Dir() string {
 }
 
 // Get returns the cached value for key, filling on first request. A fill
-// first consults the blob store, then falls back to gen; the resulting
-// maps are passed to build, whose return value is what the memory layer
-// holds. Concurrent Gets for one key share one fill. Waiting respects
-// ctx; the fill itself is charged to the first requester and runs to
-// completion so late waiters can still use it.
-func (c *Cache) Get(ctx context.Context, key Key, gen func() (*varmodel.DieMaps, error), build func(*varmodel.DieMaps) (any, error)) (any, error) {
+// first consults the blob store, then falls back to gen.Die(key.BatchSeed,
+// key.Die); the resulting maps are passed to build, whose return value is
+// what the memory layer holds. Concurrent Gets for one key share one
+// fill. Waiting respects ctx; the fill itself is charged to the first
+// requester and runs to completion so late waiters can still use it.
+func (c *Cache) Get(ctx context.Context, key Key, gen Source, build func(*varmodel.DieMaps) (any, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits.Inc()
@@ -134,14 +170,14 @@ func (c *Cache) Get(ctx context.Context, key Key, gen func() (*varmodel.DieMaps,
 // fill produces the value for one missed key: blob store first, then
 // generation (with a best-effort blob write-back). Each fill carries a
 // trace span whose src attribute records which path satisfied it.
-func (c *Cache) fill(ctx context.Context, key Key, dir string, gen func() (*varmodel.DieMaps, error), build func(*varmodel.DieMaps) (any, error)) (any, error) {
+func (c *Cache) fill(ctx context.Context, key Key, dir string, gen Source, build func(*varmodel.DieMaps) (any, error)) (any, error) {
 	ctx, sp := trace.Start(ctx, "diecache.fill",
 		trace.Int64("batch", key.BatchSeed), trace.Int("die", key.Die))
 	defer sp.End()
 	src := "generate"
 	var maps *varmodel.DieMaps
 	if dir != "" {
-		m, n, err := loadBlob(dir, key)
+		m, n, err := loadBlob(dir, key, gen.Config())
 		switch {
 		case err != nil:
 			// A corrupt blob must be loud — it means disk rot or a
@@ -158,7 +194,7 @@ func (c *Cache) fill(ctx context.Context, key Key, dir string, gen func() (*varm
 		}
 	}
 	if maps == nil {
-		m, err := gen()
+		m, err := gen.Die(key.BatchSeed, key.Die)
 		if err != nil {
 			return nil, err
 		}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"vasched/internal/varmodel"
+	"vasched/internal/wire"
 )
 
 // testMaps fabricates a small, recognisable DieMaps whose cell values
@@ -31,13 +33,20 @@ func testMaps(seed int64, idx int) *varmodel.DieMaps {
 	}
 }
 
+// genFunc is a Source whose dies come from a test closure; a die read
+// back from a blob gets the zero Config, which testMaps' dies carry too.
+type genFunc func() (*varmodel.DieMaps, error)
+
+func (g genFunc) Config() varmodel.Config                   { return varmodel.Config{} }
+func (g genFunc) Die(int64, int) (*varmodel.DieMaps, error) { return g() }
+
 // identity is the trivial build step used where the test only cares
 // about the caching of the generated maps.
 func identity(m *varmodel.DieMaps) (any, error) { return m, nil }
 
 func mustGet(t *testing.T, c *Cache, key Key, gen func() (*varmodel.DieMaps, error)) *varmodel.DieMaps {
 	t.Helper()
-	v, err := c.Get(context.Background(), key, gen, identity)
+	v, err := c.Get(context.Background(), key, genFunc(gen), identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +76,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Done()
-			v, err := c.Get(context.Background(), key, gen, identity)
+			v, err := c.Get(context.Background(), key, genFunc(gen), identity)
 			if err != nil {
 				t.Error(err)
 				return
@@ -134,7 +143,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 		}
 		return testMaps(0, 9), nil
 	}
-	if _, err := c.Get(context.Background(), key, gen, identity); !errors.Is(err, boom) {
+	if _, err := c.Get(context.Background(), key, genFunc(gen), identity); !errors.Is(err, boom) {
 		t.Fatalf("Get = %v, want boom", err)
 	}
 	if c.Len() != 0 {
@@ -150,7 +159,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	calls = 0
 	key2 := Key{Die: 10}
 	badBuild := func(*varmodel.DieMaps) (any, error) { return nil, boom }
-	if _, err := c.Get(context.Background(), key2, gen, badBuild); !errors.Is(err, boom) {
+	if _, err := c.Get(context.Background(), key2, genFunc(gen), badBuild); !errors.Is(err, boom) {
 		t.Fatalf("Get = %v, want boom from build", err)
 	}
 	mustGet(t, c, key2, gen)
@@ -167,11 +176,11 @@ func TestCacheWaiterCancel(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _ = c.Get(context.Background(), key, func() (*varmodel.DieMaps, error) {
+		_, _ = c.Get(context.Background(), key, genFunc(func() (*varmodel.DieMaps, error) {
 			close(entered)
 			<-release
 			return testMaps(0, 1), nil
-		}, identity)
+		}), identity)
 	}()
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
@@ -294,7 +303,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				die := (w + r) % keys
 				v, err := c.Get(context.Background(), Key{BatchSeed: 3, Die: die},
-					func() (*varmodel.DieMaps, error) { return testMaps(3, die), nil },
+					genFunc(func() (*varmodel.DieMaps, error) { return testMaps(3, die), nil }),
 					identity)
 				if err != nil {
 					t.Error(err)
@@ -329,11 +338,11 @@ func TestBlobKeyMismatch(t *testing.T) {
 	if err := os.Rename(blobPath(dir, keyA), blobPath(dir, keyB)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadBlob(dir, keyB); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := loadBlob(dir, keyB, varmodel.Config{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("renamed blob load = %v, want ErrCorrupt", err)
 	}
 	// Missing files are a clean miss, not an error.
-	if m, n, err := loadBlob(dir, Key{Die: 99}); m != nil || n != 0 || err != nil {
+	if m, n, err := loadBlob(dir, Key{Die: 99}, varmodel.Config{}); m != nil || n != 0 || err != nil {
 		t.Fatalf("missing blob = (%v, %d, %v), want (nil, 0, nil)", m, n, err)
 	}
 }
@@ -343,14 +352,14 @@ func TestBlobKeyMismatch(t *testing.T) {
 func TestBlobShapeCap(t *testing.T) {
 	key := Key{}
 	maps := testMaps(0, 0)
-	data, err := encodeBlob(key, maps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The rows field lives right after magic + three u64 key words.
+	data := encodeBlob(key, maps)
+	// The little-endian rows field lives right after magic + three u64
+	// key words; its top byte makes rows ≈ 2^30. The checksum is sealed
+	// again, so the shape check is what must fire.
 	off := 4 + 8*3
-	data[off] = 0x7f // rows ≈ 2^30 — shape check must fire (checksum fires first here too)
-	if _, err := decodeBlob(data, key); !errors.Is(err, ErrCorrupt) {
+	data[off+3] = 0x40
+	data = wire.AppendSum(data[:len(data)-wire.SumLen])
+	if _, err := decodeBlob(data, key, varmodel.Config{}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "shape") {
 		t.Fatalf("oversized shape accepted: %v", err)
 	}
 }
@@ -386,7 +395,7 @@ func BenchmarkDieCacheHit(b *testing.B) {
 	key := Key{ConfigHash: 42, BatchSeed: 7, Die: 0}
 	maps := testMaps(7, 0)
 	ctx := context.Background()
-	if _, err := c.Get(ctx, key, func() (*varmodel.DieMaps, error) { return maps, nil }, identity); err != nil {
+	if _, err := c.Get(ctx, key, genFunc(func() (*varmodel.DieMaps, error) { return maps, nil }), identity); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -426,7 +435,7 @@ func BenchmarkDieCacheDiskHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := loadBlob(dir, key)
+		m, _, err := loadBlob(dir, key, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

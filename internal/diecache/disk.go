@@ -4,35 +4,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 
 	"vasched/internal/varmodel"
+	"vasched/internal/wire"
 )
 
-// Disk blob format: a fixed header, the two systematic maps, and an
-// FNV-64a checksum of everything before it. The key is echoed into the
-// header so a blob renamed (or hash-colliding) onto the wrong path is
-// rejected rather than silently served as a different die.
+// Disk blob format, in internal/wire's little-endian field forms: a
+// fixed header, the two systematic maps, and the FNV-64a checksum of
+// everything before it. The key is echoed into the header so a blob
+// renamed (or hash-colliding) onto the wrong path is rejected rather
+// than silently served as a different die.
 //
-//	magic      "vdm1"
+//	magic      "vdm2"
 //	configHash u64
 //	batchSeed  u64 (two's-complement int64)
 //	die        u64 (two's-complement int64)
 //	rows, cols u32
 //	vthSigmaRan, leffSigmaRan f64 (IEEE bits)
 //	seed       u64 (two's-complement int64)
-//	cfgLen     u32, then cfgLen bytes of EncodeConfig(maps.Cfg)
 //	vthData    rows*cols f64
 //	leffData   rows*cols f64
-//	checksum   u64 (FNV-64a of all preceding bytes)
+//	checksum   FNV-64a of all preceding bytes
 //
-// Embedding the canonical config encoding keeps blobs self-contained (a
-// DieMaps carries its Config) and means the disk layer round-trips
-// through the exact codec the content hash is built on.
-var diskMagic = [4]byte{'v', 'd', 'm', '1'}
+// The blob holds no config: the key's hash covers it, and the Source
+// that would have generated the die supplies it on load.
+const diskMagic = "vdm2"
 
 // ErrCorrupt reports a blob that failed structural or checksum
 // validation. Callers fall back to regeneration: determinism means a
@@ -52,119 +51,71 @@ func blobPath(dir string, key Key) string {
 	return filepath.Join(dir, name)
 }
 
-// encodeBlob serialises maps for key. An unencodable Cfg is impossible
-// for the real varmodel.Config (flat scalars); the error covers misuse.
-func encodeBlob(key Key, maps *varmodel.DieMaps) ([]byte, error) {
-	cfgEnc, err := EncodeConfig(maps.Cfg)
+// encodeBlob serialises maps for key.
+func encodeBlob(key Key, maps *varmodel.DieMaps) []byte {
+	rows, cols := maps.VthSys.Rows, maps.VthSys.Cols
+	w := wire.Writer{Buf: make([]byte, 0, 4+8*3+4*2+8*3+16*rows*cols+wire.SumLen)}
+	w.Raw(diskMagic)
+	w.U64(key.ConfigHash)
+	w.U64(uint64(key.BatchSeed))
+	w.U64(uint64(int64(key.Die)))
+	w.U32(uint32(rows))
+	w.U32(uint32(cols))
+	w.U64(math.Float64bits(maps.VthSigmaRan))
+	w.U64(math.Float64bits(maps.LeffSigmaRan))
+	w.U64(uint64(maps.Seed))
+	for _, v := range maps.VthSys.Data {
+		w.U64(math.Float64bits(v))
+	}
+	for _, v := range maps.LeffSys.Data {
+		w.U64(math.Float64bits(v))
+	}
+	return wire.AppendSum(w.Buf)
+}
+
+// decodeBlob validates data against key and reassembles the maps, with
+// cfg as their Config.
+func decodeBlob(data []byte, key Key, cfg varmodel.Config) (*varmodel.DieMaps, error) {
+	body, err := wire.SplitSum(data, ErrCorrupt)
 	if err != nil {
 		return nil, err
 	}
-	rows, cols := maps.VthSys.Rows, maps.VthSys.Cols
-	n := rows * cols
-	buf := make([]byte, 0, 4+8*4+8+8+8+4+len(cfgEnc)+16*n+8)
-	buf = append(buf, diskMagic[:]...)
-	buf = appendUint64(buf, key.ConfigHash)
-	buf = appendUint64(buf, uint64(key.BatchSeed))
-	buf = appendUint64(buf, uint64(int64(key.Die)))
-	var w [4]byte
-	binary.BigEndian.PutUint32(w[:], uint32(rows))
-	buf = append(buf, w[:]...)
-	binary.BigEndian.PutUint32(w[:], uint32(cols))
-	buf = append(buf, w[:]...)
-	buf = appendUint64(buf, math.Float64bits(maps.VthSigmaRan))
-	buf = appendUint64(buf, math.Float64bits(maps.LeffSigmaRan))
-	buf = appendUint64(buf, uint64(maps.Seed))
-	binary.BigEndian.PutUint32(w[:], uint32(len(cfgEnc)))
-	buf = append(buf, w[:]...)
-	buf = append(buf, cfgEnc...)
-	for _, v := range maps.VthSys.Data {
-		buf = appendUint64(buf, math.Float64bits(v))
+	r := wire.NewReader(body, ErrCorrupt)
+	r.Magic(diskMagic)
+	ch, bs, die := r.U64(), int64(r.U64()), int64(r.U64())
+	if r.Err() == nil && (ch != key.ConfigHash || bs != key.BatchSeed || die != int64(key.Die)) {
+		r.Failf("blob is keyed (%016x,%d,%d), want (%016x,%d,%d)",
+			ch, bs, die, key.ConfigHash, key.BatchSeed, key.Die)
 	}
-	for _, v := range maps.LeffSys.Data {
-		buf = appendUint64(buf, math.Float64bits(v))
-	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return appendUint64(buf, h.Sum64()), nil
-}
-
-// decodeBlob validates data against key and reassembles the maps,
-// including the embedded Config.
-func decodeBlob(data []byte, key Key) (*varmodel.DieMaps, error) {
-	const header = 4 + 8*3 + 4 + 4 + 8*3 + 4
-	if len(data) < header+8 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any valid blob", ErrCorrupt, len(data))
-	}
-	h := fnv.New64a()
-	h.Write(data[:len(data)-8])
-	if got := binary.BigEndian.Uint64(data[len(data)-8:]); got != h.Sum64() {
-		return nil, fmt.Errorf("%w: checksum %016x, want %016x", ErrCorrupt, got, h.Sum64())
-	}
-	d := &decoder{b: data[:len(data)-8]}
-	magic, _ := d.bytes(4)
-	if [4]byte(magic) != diskMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	ch, _ := d.uint64()
-	bs, _ := d.uint64()
-	die, _ := d.uint64()
-	if ch != key.ConfigHash || int64(bs) != key.BatchSeed || int64(die) != int64(key.Die) {
-		return nil, fmt.Errorf("%w: blob is keyed (%016x,%d,%d), want (%016x,%d,%d)",
-			ErrCorrupt, ch, int64(bs), int64(die), key.ConfigHash, key.BatchSeed, key.Die)
-	}
-	rb, _ := d.bytes(4)
-	cb, err := d.bytes(4)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	rows := int(binary.BigEndian.Uint32(rb))
-	cols := int(binary.BigEndian.Uint32(cb))
-	if rows <= 0 || cols <= 0 || rows*cols > maxBlobCells {
-		return nil, fmt.Errorf("%w: implausible map shape %dx%d", ErrCorrupt, rows, cols)
-	}
-	vthRan, _ := d.uint64()
-	leffRan, _ := d.uint64()
-	seed, err := d.uint64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	clb, err := d.bytes(4)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	cfgLen := int(binary.BigEndian.Uint32(clb))
-	if cfgLen > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible %d-byte config encoding", ErrCorrupt, cfgLen)
-	}
-	cfgEnc, err := d.bytes(cfgLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated config encoding", ErrCorrupt)
-	}
-	var cfg varmodel.Config
-	if err := DecodeConfig(cfgEnc, &cfg); err != nil {
-		return nil, fmt.Errorf("%w: embedded config: %v", ErrCorrupt, err)
-	}
-	n := rows * cols
-	if len(d.b)-d.off != 16*n {
-		return nil, fmt.Errorf("%w: %d payload bytes for %dx%d maps", ErrCorrupt, len(d.b)-d.off, rows, cols)
-	}
-	read := func() []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			u, _ := d.uint64()
-			out[i] = math.Float64frombits(u)
-		}
-		return out
+	rows, cols := int(r.U32()), int(r.U32())
+	if r.Err() == nil && (rows <= 0 || cols <= 0 || rows > maxBlobCells/cols) {
+		r.Failf("implausible map shape %dx%d", rows, cols)
 	}
 	maps := &varmodel.DieMaps{
 		Cfg:          cfg,
-		VthSigmaRan:  math.Float64frombits(vthRan),
-		LeffSigmaRan: math.Float64frombits(leffRan),
-		Seed:         int64(seed),
+		VthSigmaRan:  math.Float64frombits(r.U64()),
+		LeffSigmaRan: math.Float64frombits(r.U64()),
+		Seed:         int64(r.U64()),
 	}
-	maps.VthSys = fieldFrom(rows, cols, read())
-	maps.LeffSys = fieldFrom(rows, cols, read())
+	n := rows * cols
+	if r.Err() == nil && r.Left() != 16*n {
+		r.Failf("%d payload bytes for %dx%d maps", r.Left(), rows, cols)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	maps.VthSys = fieldFrom(rows, cols, floats(r.Take(8*n)))
+	maps.LeffSys = fieldFrom(rows, cols, floats(r.Take(8*n)))
 	return maps, nil
+}
+
+// floats decodes little-endian IEEE float64 bits.
+func floats(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
 }
 
 // saveBlob writes the blob atomically (tmp + rename), so a crashed or
@@ -175,10 +126,7 @@ func saveBlob(dir string, key Key, maps *varmodel.DieMaps) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
-	data, err := encodeBlob(key, maps)
-	if err != nil {
-		return 0, err
-	}
+	data := encodeBlob(key, maps)
 	path := blobPath(dir, key)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp")
 	if err != nil {
@@ -200,9 +148,10 @@ func saveBlob(dir string, key Key, maps *varmodel.DieMaps) (int, error) {
 	return len(data), nil
 }
 
-// loadBlob reads and validates the blob for key. A missing file returns
-// (nil, 0, nil); a present-but-invalid one returns ErrCorrupt.
-func loadBlob(dir string, key Key) (*varmodel.DieMaps, int, error) {
+// loadBlob reads and validates the blob for key, completing it with
+// cfg. A missing file returns (nil, 0, nil); a present-but-invalid one
+// returns ErrCorrupt.
+func loadBlob(dir string, key Key, cfg varmodel.Config) (*varmodel.DieMaps, int, error) {
 	data, err := os.ReadFile(blobPath(dir, key))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, nil
@@ -210,7 +159,7 @@ func loadBlob(dir string, key Key) (*varmodel.DieMaps, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	maps, err := decodeBlob(data, key)
+	maps, err := decodeBlob(data, key, cfg)
 	if err != nil {
 		return nil, 0, err
 	}

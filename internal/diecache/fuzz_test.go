@@ -4,110 +4,98 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
-	"vasched/internal/delay"
-	"vasched/internal/power"
-	"vasched/internal/tech"
-	"vasched/internal/thermal"
 	"vasched/internal/varmodel"
+	"vasched/internal/wire"
 )
 
-// FuzzConfigHash fuzzes the canonical config codec — the thing every
-// cache key, disk blob name, and cluster-shipped hash is derived from.
-// Properties under test:
-//
-//  1. No input panics or over-allocates: DecodeConfig is bounds-checked
-//     and name/string lengths are capped, whatever the bytes say.
-//  2. The encoding is canonical: any input the decoder accepts must
-//     re-encode to the exact same bytes. This is what upgrades hash
-//     equality from "same bytes" to "same configuration" — if two
-//     distinct byte strings decoded to one config, equal configs could
-//     hash unequal and the cache would silently refill.
-//  3. Decoding is total over the model schema: accepted inputs decode
-//     into the full four-config tuple the cache keys on.
-//
-// The committed corpus under testdata/fuzz/FuzzConfigHash seeds the real
-// model tuple, single-config encodings, and classic breakages;
-// `make fuzzseed` runs the target for 10s in CI and the nightly workflow
-// runs it longer.
-func FuzzConfigHash(f *testing.F) {
-	vc := varmodel.DefaultConfig()
-	dc := delay.DefaultConfig()
-	pm := power.DefaultModel(tech.Default())
-	tc := thermal.DefaultConfig()
-	if enc, err := EncodeConfig(vc, dc, pm, tc); err == nil {
-		f.Add(enc)
-		f.Add(enc[:len(enc)/2])
-		f.Add(append(append([]byte{}, enc...), 0xff))
-	}
-	if enc, err := EncodeConfig(vc); err == nil {
-		f.Add(enc)
-	}
-	if enc, err := EncodeConfig(tc); err == nil {
-		f.Add(enc)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{codecVersion})
-	f.Add([]byte{codecVersion, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	// A tiny valid disk blob, so the blob-validation path is seeded too.
-	maps := &varmodel.DieMaps{
-		VthSys:  fieldFrom(2, 2, []float64{0.1, 0.2, 0.3, 0.4}),
-		LeffSys: fieldFrom(2, 2, []float64{1, 2, 3, 4}),
-		Seed:    7,
-	}
-	if blob, err := encodeBlob(Key{}, maps); err == nil {
-		f.Add(blob)
-	}
+// fuzzKey is the key every fuzzed blob is decoded under: the one a
+// cache gives die 3 of batch 1 of the default model tuple, whose
+// ConfigHash is its first coordinate.
+func fuzzKey() Key {
+	vc, dc, pm, tc := modelConfigs()
+	return Key{ConfigHash: ConfigHash(vc, dc, pm, tc), BatchSeed: 1, Die: 3}
+}
 
+// tinyMaps is a 2×2 die whose blob is small enough to mutate quickly.
+func tinyMaps() *varmodel.DieMaps {
+	return &varmodel.DieMaps{
+		VthSys:       fieldFrom(2, 2, []float64{0.1, 0.2, 0.3, 0.4}),
+		LeffSys:      fieldFrom(2, 2, []float64{1, 2, 3, 4}),
+		VthSigmaRan:  0.01,
+		LeffSigmaRan: 0.02,
+		Seed:         7,
+	}
+}
+
+// reseal replaces blob's checksum with a valid one for its damaged body,
+// so the structural checks behind the checksum are what must fire.
+func reseal(blob []byte) []byte {
+	return wire.AppendSum(append([]byte{}, blob[:len(blob)-wire.SumLen]...))
+}
+
+// FuzzConfigHash fuzzes the die-blob decoder under fuzzKey: the disk
+// layer that every key ConfigHash names is read back through. Properties
+// under test:
+//
+//  1. No input panics or over-allocates: lengths and the map shape are
+//     bounded by the bytes present before anything is allocated.
+//  2. Any blob the decoder accepts re-encodes to the exact same bytes,
+//     and carries the caller's config: the format is canonical, which
+//     is what makes its checksum meaningful end to end.
+//
+// The committed corpus under testdata/fuzz/FuzzConfigHash seeds valid
+// blobs and classic breakages (see TestRegenerateFuzzCorpus); `make
+// fuzzseed` runs the target for 10s in CI and the nightly workflow runs
+// it longer.
+func FuzzConfigHash(f *testing.F) {
+	key := fuzzKey()
+	blob := encodeBlob(key, tinyMaps())
+	other := key
+	other.Die++
+	badMagic := append([]byte("vdm1"), blob[4:]...)
+	flipped := append([]byte{}, blob...)
+	flipped[len(flipped)/2] ^= 0x40
+	hugeRows := append([]byte{}, blob...)
+	hugeRows[4+8*3+3] = 0x40
+
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add(append(append([]byte{}, blob...), 0xff))
+	f.Add(encodeBlob(other, tinyMaps()))
+	f.Add(reseal(badMagic))
+	f.Add(flipped)
+	f.Add(reseal(hugeRows))
+	f.Add([]byte{})
+	f.Add([]byte(diskMagic))
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+
+	cfg := varmodel.DefaultConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var a varmodel.Config
-		var b delay.Config
-		var c power.Model
-		var d thermal.Config
-		if err := DecodeConfig(data, &a, &b, &c, &d); err == nil {
-			re, err := EncodeConfig(a, b, c, d)
-			if err != nil {
-				t.Fatalf("decoded config failed to re-encode: %v", err)
-			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("encoding is not canonical:\n in: %x\nout: %x", data, re)
-			}
-			h1, err := ConfigHash(a, b, c, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h2, err := ConfigHash(a, b, c, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h1 != h2 {
-				t.Fatalf("hash is unstable: %016x vs %016x", h1, h2)
-			}
+		maps, err := decodeBlob(data, key, cfg)
+		if err != nil {
+			return
 		}
-		// Corrupt disk blobs ride the same no-panic guarantee, and any
-		// blob the validator accepts must itself be canonical.
-		if maps, err := decodeBlob(data, Key{}); err == nil {
-			re, err := encodeBlob(Key{}, maps)
-			if err != nil {
-				t.Fatalf("accepted blob failed to re-encode: %v", err)
-			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("blob encoding is not canonical:\n in: %x\nout: %x", data, re)
-			}
+		if re := encodeBlob(key, maps); !bytes.Equal(re, data) {
+			t.Fatalf("blob encoding is not canonical:\n in: %x\nout: %x", data, re)
+		}
+		if !reflect.DeepEqual(maps.Cfg, cfg) {
+			t.Fatal("accepted blob does not carry the caller's config")
 		}
 	})
 }
 
 // TestRegenerateFuzzCorpus rewrites the committed corpus under
-// testdata/fuzz/FuzzConfigHash from the current model schema. It is a
-// maintenance tool, not a check: run
+// testdata/fuzz/FuzzConfigHash. It is a maintenance tool, not a check:
+// run
 //
 //	DIECACHE_REGEN_CORPUS=1 go test ./internal/diecache -run TestRegenerateFuzzCorpus
 //
-// after changing any model config struct, then commit the result.
+// after changing the blob format or any model config struct (which
+// moves fuzzKey), then commit the result.
 func TestRegenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("DIECACHE_REGEN_CORPUS") == "" {
 		t.Skip("set DIECACHE_REGEN_CORPUS=1 to rewrite testdata/fuzz/FuzzConfigHash")
@@ -123,35 +111,32 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vc := varmodel.DefaultConfig()
-	dc := delay.DefaultConfig()
-	pm := power.DefaultModel(tech.Default())
-	tc := thermal.DefaultConfig()
-	enc, err := EncodeConfig(vc, dc, pm, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("seed_model_tuple", enc)
-	write("seed_truncated", enc[:len(enc)/2])
-	write("seed_trailing", append(append([]byte{}, enc...), 0xff))
-	one, err := EncodeConfig(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("seed_single_thermal", one)
+	key := fuzzKey()
+	blob := encodeBlob(key, tinyMaps())
+	write("seed_die_blob", blob)
+	write("seed_truncated", blob[:len(blob)/2])
+	write("seed_trailing", append(append([]byte{}, blob...), 0xff))
+	write("seed_bad_version", reseal(append([]byte("vdm1"), blob[4:]...)))
 	write("seed_empty", nil)
 	write("seed_garbage", bytes.Repeat([]byte{0xff}, 8))
-	bad := append([]byte{}, enc...)
-	bad[0] = codecVersion + 1
-	write("seed_bad_version", bad)
-	maps := &varmodel.DieMaps{
-		VthSys:  fieldFrom(2, 2, []float64{0.1, 0.2, 0.3, 0.4}),
-		LeffSys: fieldFrom(2, 2, []float64{1, 2, 3, 4}),
-		Seed:    7,
-	}
-	blob, err := encodeBlob(Key{}, maps)
+
+	// A real die of the default model, on an 8×8 grid to keep the file
+	// small.
+	cfg := varmodel.DefaultConfig()
+	cfg.GridRows, cfg.GridCols = 8, 8
+	g, err := varmodel.NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	write("seed_die_blob", blob)
+	maps, err := g.Die(key.BatchSeed, key.Die)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write("seed_model_tuple", encodeBlob(key, maps))
+
+	// The tiny die keyed by a tuple whose thermal config differs in one
+	// field: its key echo must refuse it.
+	vc, dc, pm, tc := modelConfigs()
+	tc.AmbientC++
+	write("seed_single_thermal", encodeBlob(Key{ConfigHash: ConfigHash(vc, dc, pm, tc), BatchSeed: key.BatchSeed, Die: key.Die}, tinyMaps()))
 }

@@ -209,11 +209,7 @@ func (e *Env) init() error {
 	// cluster); changing any model field — even adding a new one —
 	// changes the hash and strands the old entries instead of aliasing
 	// them.
-	hash, err := diecache.ConfigHash(e.VarCfg, e.DelayCfg, e.Power, e.ThermalCfg)
-	if err != nil {
-		return fmt.Errorf("experiments: hashing model config: %w", err)
-	}
-	e.cfgHash = hash
+	e.cfgHash = diecache.ConfigHash(e.VarCfg, e.DelayCfg, e.Power, e.ThermalCfg)
 	return nil
 }
 
@@ -382,10 +378,7 @@ func (e *Env) Apps() []*workload.AppProfile { return e.pool }
 // same time split that pair's transforms between them.
 func (e *Env) Chip(die int) (*chip.Chip, error) {
 	key := diecache.Key{ConfigHash: e.cfgHash, BatchSeed: e.BatchSeed, Die: die}
-	v, err := e.dies.Get(e.Context(), key,
-		func() (*varmodel.DieMaps, error) {
-			return e.gen.Die(e.BatchSeed, die)
-		},
+	v, err := e.dies.Get(e.Context(), key, e.gen,
 		func(maps *varmodel.DieMaps) (any, error) {
 			c, err := chip.Build(maps, e.fp, e.DelayCfg, e.Power, e.ThermalCfg)
 			if err != nil {

@@ -22,16 +22,16 @@ import (
 // valid frame per record kind plus classic breakages; `make fuzzseed`
 // runs the target for 10s in CI and the nightly workflow for 5m.
 func FuzzWALRecord(f *testing.F) {
-	f.Add(EncodeRecord(&Record{Kind: KindSubmit, ID: 1, Unix: 1700000000, Tenant: "acme",
+	f.Add(mustEncode(f, &Record{Kind: KindSubmit, ID: 1, Unix: 1700000000, Tenant: "acme",
 		Lane: tenant.LaneInteractive, Experiment: "fig4", Scale: "quick", Workers: 4}))
-	f.Add(EncodeRecord(&Record{Kind: KindSubmit, ID: 2, Unix: 1700000001, Tenant: "acme",
+	f.Add(mustEncode(f, &Record{Kind: KindSubmit, ID: 2, Unix: 1700000001, Tenant: "acme",
 		Lane: tenant.LaneBatch, Experiment: "ext-adapt", Scale: "quick",
 		Params: []byte(`{"metric":"power-ratio","rel_ci":0.02}`)}))
-	f.Add(EncodeRecord(&Record{Kind: KindClaim, ID: 1, Epoch: 2, Coord: "pod-1", Unix: 1}))
-	f.Add(EncodeRecord(&Record{Kind: KindComplete, ID: 1, Epoch: 2, Coord: "pod-1",
+	f.Add(mustEncode(f, &Record{Kind: KindClaim, ID: 1, Epoch: 2, Coord: "pod-1", Unix: 1}))
+	f.Add(mustEncode(f, &Record{Kind: KindComplete, ID: 1, Epoch: 2, Coord: "pod-1",
 		Status: statusCodeDone, Rendered: []byte("Figure 4"), Result: []byte(`{"ok":true}`)}))
-	f.Add(EncodeRecord(&Record{Kind: KindEpoch, Epoch: 7, Coord: "pod-2"}))
-	f.Add(EncodeRecord(&Record{Kind: KindShutdown, Epoch: 7, Coord: "pod-2"}))
+	f.Add(mustEncode(f, &Record{Kind: KindEpoch, Epoch: 7, Coord: "pod-2"}))
+	f.Add(mustEncode(f, &Record{Kind: KindShutdown, Epoch: 7, Coord: "pod-2"}))
 	f.Add([]byte{})
 	f.Add([]byte("vjl1")) // previous format version: magic now rejected
 	f.Add([]byte("vjl2"))
@@ -42,7 +42,10 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := EncodeRecord(r)
+		re, err := EncodeRecord(r)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("record is not canonical:\n in: %x\nout: %x", data, re)
 		}

@@ -8,41 +8,43 @@
 //
 //	magic "vjl2" | u32 payload length | payload | FNV-64a checksum
 //
-// where the checksum covers everything before it (the same integrity
-// idiom as internal/cluster's shard codec). Payloads have a canonical
-// encoding — DecodeRecord(EncodeRecord(r)) round-trips byte-for-byte —
-// which is what makes the checksum meaningful end to end and what
-// FuzzWALRecord verifies. Decoders never trust length fields: every
-// allocation is bounded by the buffer, truncation is reported as
-// ErrTorn (recoverable only at the tail of the final segment), and any
-// other malformation is ErrCorrupt, which fails replay loudly rather
-// than loading garbage.
+// in internal/wire's field forms, where the checksum covers everything
+// before it. Payloads have a canonical encoding —
+// DecodeRecord(EncodeRecord(r)) round-trips byte-for-byte — which is
+// what makes the checksum meaningful end to end and what FuzzWALRecord
+// verifies. The writer refuses any field over the cap the reader
+// enforces, so a record the store appends always replays. Decoders
+// never trust length fields: every allocation is bounded by the buffer,
+// truncation is reported as ErrTorn (recoverable only at the tail of
+// the final segment), and any other malformation is ErrCorrupt, which
+// fails replay loudly rather than loading garbage.
 package jobstore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"vasched/internal/tenant"
+	"vasched/internal/wire"
 )
 
 // recMagic tags every WAL frame; the trailing digit is the format
 // version and bumps on any incompatible change. v2 added the submit
 // Params blob (experiment-specific options, e.g. adaptive sampling).
-var recMagic = [4]byte{'v', 'j', 'l', '2'}
+const recMagic = "vjl2"
 
-// Decode limits. They bound allocation on malformed input; all are far
-// above anything the service writes (experiment names are short, and
-// rendered reports / result JSON are small documents).
+// Field caps. The writer refuses and the reader rejects anything over
+// them, and they bound allocation on malformed input; all are far above
+// what the service writes (experiment names are short, and rendered
+// reports / result JSON are small documents). Complete cuts an error
+// text to maxErrLen rather than fail the job's completion.
 const (
-	maxNameLen    = 1 << 10 // tenant / lane / experiment / scale / coordinator strings
-	maxErrLen     = 1 << 16 // error messages
-	maxBlobLen    = 1 << 26 // rendered report or result JSON
-	maxPayloadLen = 1 << 27 // whole record payload
-	checksumLen   = 8
-	headerLen     = 4 + 4 // magic + payload length
+	maxNameLen    = 1 << 10   // tenant / lane / experiment / scale / coordinator strings
+	maxErrLen     = 1<<16 - 1 // error messages: the most a u16 length counts
+	maxBlobLen    = 1 << 26   // rendered report or result JSON
+	maxPayloadLen = 1 << 27   // whole record payload
+	headerLen     = 4 + 4     // magic + payload length
 )
 
 // ErrCorrupt is returned for any malformed record — bad magic, length
@@ -114,33 +116,38 @@ const (
 )
 
 // EncodeRecord serialises one record as a framed, checksummed WAL
-// entry.
-func EncodeRecord(r *Record) []byte {
-	payload := make([]byte, 0, 64+len(r.Coord)+len(r.Tenant)+len(r.Experiment)+
-		len(r.Scale)+len(r.Params)+len(r.Error)+len(r.Rendered)+len(r.Result))
-	payload = append(payload, byte(r.Kind))
-	payload = binary.LittleEndian.AppendUint64(payload, r.ID)
-	payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.Unix))
-	payload = appendString(payload, r.Coord)
-	payload = appendString(payload, r.Tenant)
-	payload = append(payload, byte(r.Lane))
-	payload = appendString(payload, r.Experiment)
-	payload = appendString(payload, r.Scale)
-	payload = binary.LittleEndian.AppendUint32(payload, r.Workers)
-	payload = appendBlob(payload, r.Params)
-	payload = append(payload, r.Status)
-	payload = appendString(payload, r.Error)
-	payload = appendBlob(payload, r.Rendered)
-	payload = appendBlob(payload, r.Result)
-
-	buf := make([]byte, 0, headerLen+len(payload)+checksumLen)
-	buf = append(buf, recMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum(buf)
+// entry. A field over its cap, or a payload over maxPayloadLen, is an
+// error wrapping wire.ErrTooLong.
+func EncodeRecord(r *Record) ([]byte, error) {
+	w := wire.Writer{Buf: make([]byte, 0, headerLen+64+len(r.Coord)+len(r.Tenant)+len(r.Experiment)+
+		len(r.Scale)+len(r.Params)+len(r.Error)+len(r.Rendered)+len(r.Result)+wire.SumLen)}
+	w.Raw(recMagic)
+	w.U32(0) // payload length, set below
+	w.U8(byte(r.Kind))
+	w.U64(r.ID)
+	w.U64(r.Epoch)
+	w.U64(uint64(r.Unix))
+	w.Str(r.Coord, maxNameLen)
+	w.Str(r.Tenant, maxNameLen)
+	w.U8(byte(r.Lane))
+	w.Str(r.Experiment, maxNameLen)
+	w.Str(r.Scale, maxNameLen)
+	w.U32(r.Workers)
+	w.Blob(r.Params, maxBlobLen)
+	w.U8(r.Status)
+	w.Str(r.Error, maxErrLen)
+	w.Blob(r.Rendered, maxBlobLen)
+	w.Blob(r.Result, maxBlobLen)
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("jobstore: encoding a kind %d record: %w", r.Kind, err)
+	}
+	plen := len(w.Buf) - headerLen
+	if plen > maxPayloadLen {
+		return nil, fmt.Errorf("jobstore: encoding a kind %d record: %w: payload of %d (max %d)",
+			r.Kind, wire.ErrTooLong, plen, maxPayloadLen)
+	}
+	binary.LittleEndian.PutUint32(w.Buf[len(recMagic):], uint32(plen))
+	return wire.AppendSum(w.Buf), nil
 }
 
 // ReadRecord parses the frame at the start of buf, returning the
@@ -150,25 +157,24 @@ func ReadRecord(buf []byte) (*Record, int, error) {
 	if len(buf) < headerLen {
 		return nil, 0, ErrTorn
 	}
-	var magic [4]byte
-	copy(magic[:], buf)
-	if magic != recMagic {
-		return nil, 0, corruptf("bad magic %q", magic[:])
-	}
-	plen := int(binary.LittleEndian.Uint32(buf[4:]))
+	h := wire.NewReader(buf[:headerLen], ErrCorrupt)
+	h.Magic(recMagic)
+	plen := int(h.U32())
 	if plen > maxPayloadLen {
-		return nil, 0, corruptf("payload length %d", plen)
+		h.Failf("payload length %d", plen)
 	}
-	total := headerLen + plen + checksumLen
+	if err := h.Err(); err != nil {
+		return nil, 0, err
+	}
+	total := headerLen + plen + wire.SumLen
 	if len(buf) < total {
 		return nil, 0, ErrTorn
 	}
-	h := fnv.New64a()
-	h.Write(buf[:headerLen+plen])
-	if string(h.Sum(nil)) != string(buf[headerLen+plen:total]) {
-		return nil, 0, corruptf("checksum mismatch")
+	frame, err := wire.SplitSum(buf[:total], ErrCorrupt)
+	if err != nil {
+		return nil, 0, err
 	}
-	r, err := decodePayload(buf[headerLen : headerLen+plen])
+	r, err := decodePayload(frame[headerLen:])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -193,28 +199,25 @@ func DecodeRecord(buf []byte) (*Record, error) {
 }
 
 func decodePayload(buf []byte) (*Record, error) {
-	d := decoder{buf: buf}
+	d := wire.NewReader(buf, ErrCorrupt)
 	r := &Record{}
-	r.Kind = Kind(d.u8())
-	r.ID = d.u64()
-	r.Epoch = d.u64()
-	r.Unix = int64(d.u64())
-	r.Coord = d.str(maxNameLen)
-	r.Tenant = d.str(maxNameLen)
-	r.Lane = tenant.Lane(d.u8())
-	r.Experiment = d.str(maxNameLen)
-	r.Scale = d.str(maxNameLen)
-	r.Workers = d.u32()
-	r.Params = d.blob()
-	r.Status = d.u8()
-	r.Error = d.str(maxErrLen)
-	r.Rendered = d.blob()
-	r.Result = d.blob()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, corruptf("%d trailing payload bytes", len(d.buf)-d.off)
+	r.Kind = Kind(d.U8())
+	r.ID = d.U64()
+	r.Epoch = d.U64()
+	r.Unix = int64(d.U64())
+	r.Coord = d.Str(maxNameLen)
+	r.Tenant = d.Str(maxNameLen)
+	r.Lane = tenant.Lane(d.U8())
+	r.Experiment = d.Str(maxNameLen)
+	r.Scale = d.Str(maxNameLen)
+	r.Workers = d.U32()
+	r.Params = d.Blob(maxBlobLen)
+	r.Status = d.U8()
+	r.Error = d.Str(maxErrLen)
+	r.Rendered = d.Blob(maxBlobLen)
+	r.Result = d.Blob(maxBlobLen)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	if r.Kind == 0 || r.Kind > kindMax {
 		return nil, corruptf("unknown record kind %d", r.Kind)
@@ -226,91 +229,4 @@ func decodePayload(buf []byte) (*Record, error) {
 		return nil, corruptf("invalid status code %d", r.Status)
 	}
 	return r, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-func appendBlob(buf, b []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-// decoder is a bounds-checked cursor: the first overrun latches err and
-// every later read returns zero values.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.err = corruptf("payload truncated at offset %d (want %d of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() uint8 {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (d *decoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *decoder) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (d *decoder) str(max int) string {
-	n := int(binary.LittleEndian.Uint16(d.take2()))
-	if n > max {
-		if d.err == nil {
-			d.err = corruptf("string length %d (max %d)", n, max)
-		}
-		return ""
-	}
-	return string(d.take(n))
-}
-
-func (d *decoder) take2() []byte {
-	if b := d.take(2); b != nil {
-		return b
-	}
-	return []byte{0, 0}
-}
-
-func (d *decoder) blob() []byte {
-	n := int(d.u32())
-	if n > maxBlobLen {
-		if d.err == nil {
-			d.err = corruptf("blob length %d (max %d)", n, maxBlobLen)
-		}
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"vasched/internal/tenant"
 )
@@ -270,14 +271,16 @@ func (s *Store) apply(rec *Record) error {
 	return nil
 }
 
-// appendLocked encodes and appends a record; memory-only stores skip
-// the disk write. Callers hold s.mu and apply the mutation only after
-// a nil return, preserving the WAL-before-state invariant.
+// appendLocked encodes and appends a record. Memory-only stores encode
+// too, so they refuse the records a log would refuse, and skip only the
+// disk write. Callers hold s.mu and apply the mutation only after a nil
+// return, preserving the WAL-before-state invariant.
 func (s *Store) appendLocked(rec *Record) error {
-	if s.wal == nil {
-		return nil
+	frame, err := EncodeRecord(rec)
+	if err != nil || s.wal == nil {
+		return err
 	}
-	return s.wal.append(EncodeRecord(rec))
+	return s.wal.append(frame)
 }
 
 // Stats returns what Open's replay found.
@@ -385,10 +388,18 @@ func (s *Store) Claim(id uint64, coord string, epoch uint64) (Job, error) {
 // point: the write is rejected unless the caller's epoch is both the
 // store's current epoch and the epoch the job is currently leased
 // under — a coordinator that lost its lease cannot overwrite the
-// re-claimed job's outcome.
+// re-claimed job's outcome. An error text over maxErrLen bytes is cut
+// to its first maxErrLen (at a rune boundary), so the job still ends.
 func (s *Store) Complete(id uint64, coord string, epoch uint64, st Status, errMsg, rendered string, result []byte) error {
 	if !st.Terminal() {
 		return fmt.Errorf("jobstore: Complete with non-terminal status %q", st)
+	}
+	if len(errMsg) > maxErrLen {
+		n := maxErrLen
+		for n > 0 && !utf8.RuneStart(errMsg[n]) {
+			n--
+		}
+		errMsg = errMsg[:n]
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,8 +3,10 @@ package jobstore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"vasched/internal/tenant"
 )
@@ -329,5 +331,55 @@ func TestMemoryOnlyStore(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompleteCutsOverlongError: an error text longer than a record can
+// hold is cut to its first bytes, so the job still ends as failed and
+// the log it leaves replays.
+func TestCompleteCutsOverlongError(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	epoch, err := s.AcquireEpoch("pod-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := submit(t, s, "fig4")
+	if _, err := s.Claim(j.ID, "pod-a", epoch); err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Repeat("é-boom ", 8_750) // 70,000 bytes, a two-byte rune in every eight
+	if err := s.Complete(j.ID, "pod-a", epoch, StatusFailed, text, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	re := mustOpen(t, dir)
+	g, ok := re.Get(j.ID)
+	if !ok || g.Status != StatusFailed {
+		t.Fatalf("replayed job = %+v, want failed", g)
+	}
+	if len(g.Error) > maxErrLen || len(g.Error) <= maxErrLen-utf8.UTFMax || !strings.HasPrefix(text, g.Error) || !utf8.ValidString(g.Error) {
+		t.Fatalf("replayed error holds %d bytes, want a valid prefix of the text cut to at most %d", len(g.Error), maxErrLen)
+	}
+}
+
+// TestOverlongCoordIDRefused: a coordinator id longer than a record can
+// hold is refused before it reaches the log, which still reopens.
+func TestOverlongCoordIDRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	if _, err := s.AcquireEpoch("pod-a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AcquireEpoch(strings.Repeat("c", 2000)); err == nil {
+		t.Fatal("a 2,000-byte coordinator id was accepted")
+	}
+	if s.Epoch() != 1 {
+		t.Fatalf("epoch = %d after the refused acquire, want 1", s.Epoch())
+	}
+	s.Close()
+	re := mustOpen(t, dir)
+	if re.Epoch() != 1 || re.Stats().Records != 1 {
+		t.Fatalf("reopened store: epoch %d, %d records; want 1 and 1", re.Epoch(), re.Stats().Records)
 	}
 }

@@ -2,6 +2,7 @@ package jobstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -190,6 +191,15 @@ func TestAlienFileRejected(t *testing.T) {
 	}
 }
 
+func mustEncode(t testing.TB, r *Record) []byte {
+	t.Helper()
+	b, err := EncodeRecord(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestRecordRoundTrip pins the canonical encoding for every record
 // kind, including empty and maximal-ish field mixes.
 func TestRecordRoundTrip(t *testing.T) {
@@ -203,12 +213,12 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Kind: KindShutdown, Epoch: 9, Coord: "pod-2", Unix: 1 << 60},
 	}
 	for _, r := range recs {
-		enc := EncodeRecord(r)
+		enc := mustEncode(t, r)
 		got, err := DecodeRecord(enc)
 		if err != nil {
 			t.Fatalf("%+v: %v", r, err)
 		}
-		if !bytes.Equal(EncodeRecord(got), enc) {
+		if !bytes.Equal(mustEncode(t, got), enc) {
 			t.Fatalf("non-canonical round trip for %+v", r)
 		}
 	}
@@ -218,7 +228,7 @@ func TestRecordRoundTrip(t *testing.T) {
 // level: truncation, bit flips, bad magic, and oversized length fields
 // all error.
 func TestRecordDecodeRejects(t *testing.T) {
-	good := EncodeRecord(&Record{Kind: KindSubmit, ID: 7, Tenant: "t", Experiment: "fig4", Scale: "quick"})
+	good := mustEncode(t, &Record{Kind: KindSubmit, ID: 7, Tenant: "t", Experiment: "fig4", Scale: "quick"})
 	// Every strict prefix fails.
 	for n := 0; n < len(good); n++ {
 		if _, err := DecodeRecord(good[:n]); err == nil {
@@ -240,7 +250,7 @@ func TestRecordDecodeRejects(t *testing.T) {
 		t.Fatal("trailing byte accepted")
 	}
 	// A huge declared payload length fails before allocating.
-	huge := append([]byte(nil), recMagic[:]...)
+	huge := []byte(recMagic)
 	huge = append(huge, 0xff, 0xff, 0xff, 0x7f)
 	if _, err := DecodeRecord(huge); err == nil {
 		t.Fatal("huge payload length accepted")
@@ -283,5 +293,93 @@ func TestReplayTimesComeFromLog(t *testing.T) {
 	g, _ := re.Get(j.ID)
 	if !g.Submitted.Equal(j.Submitted) {
 		t.Fatalf("replayed Submitted %v != original %v", g.Submitted, j.Submitted)
+	}
+}
+
+// walGolden is one frame of each record kind as a store writes it: the
+// epoch, submit, claim, complete and shutdown of one job. Logs written
+// by earlier builds must keep replaying, so these bytes never change.
+var walGolden = []string{
+	// epoch 1 by pod-a
+	"766a6c323a00000004000000000000000001000000000000002a002a36fe9c97170500706f642d61000000000000000000000000000000000000000000000000000076567c276faa46ee",
+	// submit job 1: acme, batch lane, ext-adapt, quick, 2 workers, params
+	"766a6c325600000001010000000000000000000000000000002a002a36fe9c97170000040061636d650209006578742d61646170740500717569636b020000000f0000007b2272656c5f6369223a302e30327d00000000000000000000009ad89a7ef356aa13",
+	// claim job 1 by pod-a under epoch 1
+	"766a6c323a00000002010000000000000001000000000000002a002a36fe9c97170500706f642d6100000000000000000000000000000000000000000000000000008cdaca9b834c298b",
+	// complete job 1 as failed: error, rendered report and result
+	"766a6c324b00000003010000000000000001000000000000002a002a36fe9c97170500706f642d61000000000000000000000000000000020400626f6f6d060000007265706f7274070000007b2261223a317dd1970af128770d35",
+	// clean shutdown of pod-a under epoch 1
+	"766a6c323a00000005000000000000000001000000000000002a002a36fe9c97170500706f642d610000000000000000000000000000000000000000000000000000ae0856ec11ecab97",
+}
+
+// TestWALGoldenBytes pins the vjl2 frames byte for byte on both sides:
+// the store writes exactly walGolden, and a log holding walGolden
+// replays to the job it describes.
+func TestWALGoldenBytes(t *testing.T) {
+	clock := func() time.Time { return time.Unix(1_700_000_000, 42) }
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, err := s.AcquireEpoch("pod-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(Spec{Tenant: "acme", Lane: tenant.LaneBatch, Experiment: "ext-adapt", Scale: "quick",
+		Workers: 2, Params: []byte(`{"rel_ci":0.02}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Claim(j.ID, "pod-a", epoch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Complete(j.ID, "pod-a", epoch, StatusFailed, "boom", "report", []byte(`{"a":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MarkShutdown("pod-a", epoch); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	got, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, h := range walGolden {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b...)
+	}
+	if !bytes.Equal(got, want) {
+		for off := 0; off < len(got); {
+			_, n, err := ReadRecord(got[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%x", got[off:off+n])
+			off += n
+		}
+		t.Fatal("store wrote frames other than walGolden")
+	}
+
+	dir2 := t.TempDir()
+	if err := os.WriteFile(segPath(dir2, 1), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{Dir: dir2, Now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	g, ok := re.Get(j.ID)
+	if !ok || g.Status != StatusFailed || g.Error != "boom" || g.Rendered != "report" || string(g.Result) != `{"a":1}` ||
+		string(g.Params) != `{"rel_ci":0.02}` || g.Tenant != "acme" || g.Coord != "pod-a" || re.Epoch() != epoch {
+		t.Fatalf("golden log replayed to %+v (epoch %d)", g, re.Epoch())
+	}
+	if st := re.Stats(); st.Records != 5 || st.CrashRecovered {
+		t.Fatalf("golden log replay stats = %+v", st)
 	}
 }
