@@ -1,9 +1,11 @@
 # Development targets for the vasched repository. The repo is Go with no
 # dependencies outside the standard library, so everything here is the
 # go tool, plus git and tar for the tree benchcheck compares against.
-# Its one piece of assembly is internal/fft's AVX butterfly kernels
-# (avx_amd64.s); every other architecture, and every race build, runs
-# the Go loops they stand in for.
+# Its assembly is three sets of amd64 kernels: internal/fft's AVX
+# butterflies (avx_amd64.s), internal/stats's AVX2 normal draws
+# (norm_amd64.s) and internal/grf's AVX2 row scaling (scale_amd64.s);
+# every other architecture, every CPU without the extension, and every
+# race build runs the Go loops they stand in for.
 
 GO ?= go
 

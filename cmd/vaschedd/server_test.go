@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -579,6 +580,44 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	r2, _ := re.Get(queued.ID)
 	if r2.Status != jobstore.StatusQueued || r2.Requeues != 0 {
 		t.Fatalf("drained queued job = %+v", r2)
+	}
+}
+
+// TestFinishedJobViewSurvivesRestart: a finished job's JSON view, its
+// elapsed time included, reads byte for byte the same from the
+// coordinator that ran it and from the next one on the same data
+// directory, which knows the job only from the log.
+func TestFinishedJobViewSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	view := func(ts *httptest.Server, id uint64) []byte {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET job %d = %d, %v", id, resp.StatusCode, err)
+		}
+		return body
+	}
+	srv, err := newServer(serverConfig{MaxJobs: 2, Workers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.routes())
+	job := postJob(t, ts, `{"experiment":"fig4","scale":"quick"}`)
+	waitStatus(t, ts, job.ID, "done", time.Minute)
+	before := view(ts, job.ID)
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	srv.Shutdown(ctx)
+
+	_, ts = startServer(t, serverConfig{DataDir: dir})
+	if after := view(ts, job.ID); !bytes.Equal(before, after) {
+		t.Fatalf("job view changed across a restart:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"vasched/internal/farm"
 	"vasched/internal/stats"
@@ -30,10 +31,26 @@ type Config struct {
 	KernelScale float64
 }
 
+// defaultMaxEvals is the default evaluation budget.
+const defaultMaxEvals = 20000
+
+// coolingLogs returns ln(e+k), the cooling schedule's divisor at
+// evaluation k, for every k below the default budget: one table for the
+// process, built on first use and read-only after, in place of a
+// math.Log per evaluation. Solves with a larger budget compute the
+// logarithm past its end.
+var coolingLogs = sync.OnceValue(func() []float64 {
+	logs := make([]float64, defaultMaxEvals)
+	for k := range logs {
+		logs[k] = math.Log(math.E + float64(k))
+	}
+	return logs
+})
+
 // DefaultConfig returns a budget suitable for repeated on-line invocation.
 func DefaultConfig(numVars int) Config {
 	return Config{
-		MaxEvals:    20000,
+		MaxEvals:    defaultMaxEvals,
 		InitialTemp: 1 + float64(numVars)/4, // more randomness for larger problems
 		KernelScale: 3,
 	}
@@ -144,7 +161,7 @@ func SolveScratch(p *Problem, cfg Config, rng *stats.RNG, scr *Scratch) (Result,
 		return Result{}, errors.New("anneal: initial state infeasible")
 	}
 	if cfg.MaxEvals <= 0 {
-		cfg.MaxEvals = 20000
+		cfg.MaxEvals = defaultMaxEvals
 	}
 	if cfg.InitialTemp <= 0 {
 		cfg.InitialTemp = 1
@@ -162,9 +179,16 @@ func SolveScratch(p *Problem, cfg Config, rng *stats.RNG, scr *Scratch) (Result,
 	bestVal := curVal
 	evals := 1
 
+	logs := coolingLogs()
 	for evals < cfg.MaxEvals {
 		// Logarithmic cooling: T_k = T0 / ln(e + k).
-		temp := cfg.InitialTemp / math.Log(math.E+float64(evals))
+		var lnk float64
+		if evals < len(logs) {
+			lnk = logs[evals]
+		} else {
+			lnk = math.Log(math.E + float64(evals))
+		}
+		temp := cfg.InitialTemp / lnk
 
 		// Gaussian Markov kernel scaled by the current temperature.
 		scale := cfg.KernelScale * temp / cfg.InitialTemp

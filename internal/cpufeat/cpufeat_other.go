@@ -1,0 +1,5 @@
+//go:build !amd64
+
+package cpufeat
+
+func detect() (avx, avx2, bmi2 bool) { return false, false, false }

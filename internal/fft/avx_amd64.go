@@ -2,6 +2,8 @@
 
 package fft
 
+import "vasched/internal/cpufeat"
+
 // avxKernels is the AVX kernel set, or nil when the CPU or the operating
 // system does not support AVX. Each kernel runs its Go twin's butterflies
 // two to a 256-bit register, one complex128 per 128-bit lane, and in each
@@ -13,28 +15,15 @@ package fft
 var avxKernels = newAVXKernels()
 
 func newAVXKernels() *kernelSet {
-	if !hasAVX() {
+	if !cpufeat.AVX() {
 		return nil
 	}
 	return &kernelSet{"avx", first4AVX, pass4AVX, sum4AVX, pass4RowsAVX, sum4RowsAVX}
 }
 
-// hasAVX reports whether the CPU has AVX and the operating system saves
-// the YMM registers: CPUID leaf 1's OSXSAVE and AVX bits, then the SSE and
-// AVX state bits of XCR0, which XGETBV reads only when OSXSAVE is set.
-func hasAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	if cpuid1ECX()&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	return xcr0()&6 == 6
-}
-
 // Implemented in avx_amd64.s. The kernels trust their arguments' shapes:
 // the wrappers below hand any shape outside them to the Go twin, whose
 // bounds checks then apply.
-func cpuid1ECX() uint32
-func xcr0() uint32
 func first4Asm(x, src []complex128, rev []int32, t0, t1 []complex128)
 func pass4Asm(x []complex128, h int, ta, tb []complex128)
 func sum4Asm(x []complex128, h, keep int, ta, tb []complex128)

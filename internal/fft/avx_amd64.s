@@ -41,21 +41,6 @@
 	CMUL(Y6, Y12, Y13, Y8, Y9); \
 	VADDPD Y9, Y4, Y0
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
-
-// func xcr0() uint32
-TEXT ·xcr0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // func first4Asm(x, src []complex128, rev []int32, t0, t1 []complex128)
 //
 // The groups of r and r+1 (r even) share a register: their inputs are

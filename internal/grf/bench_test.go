@@ -27,6 +27,28 @@ func BenchmarkCirculantSample(b *testing.B) {
 	}
 }
 
+// paperCfg is the paper-scale map: a 256x256 grid, which pads to a
+// 1024x1024 transform.
+var paperCfg = Config{Rows: 256, Cols: 256, Phi: 0.5, Sigma: 0.03}
+
+// BenchmarkSamplePair is one paper-scale transform pair, half of a die's
+// map draws: 2,097,152 normal draws, their scaling and the pruned
+// transform.
+func BenchmarkSamplePair(b *testing.B) {
+	s, err := NewCirculantSampler(paperCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.SamplePair(rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewCirculantSampler measures sampler construction — the
 // spectral eigen-decomposition that the per-Config cache amortises across
 // generators.

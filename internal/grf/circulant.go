@@ -188,12 +188,7 @@ func (s *CirculantSampler) SamplePair(rng *stats.RNG) (*Field, *Field, error) {
 		// The row's normals in draw order: real then imaginary part of
 		// each point.
 		rng.NormFill(z)
-		for c, l := range sl[r*s.pcols : (r+1)*s.pcols] {
-			// Complex white noise scaled by sqrt(lambda)/sqrt(n): after an
-			// unnormalised forward FFT the real and imaginary parts are two
-			// independent fields with the target covariance.
-			row[c] = complex(z[2*c]*l*norm, z[2*c+1]*l*norm)
-		}
+		scaleRow(row, z, sl[r*s.pcols:(r+1)*s.pcols], norm)
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("grf: sampling transform: %w", err)
@@ -205,6 +200,18 @@ func (s *CirculantSampler) SamplePair(rng *stats.RNG) (*Field, *Field, error) {
 		b.Data[i] = imag(z)
 	}
 	return a, b, nil
+}
+
+// scaleRowGo sets row[c] = complex(z[2c]·l[c]·norm, z[2c+1]·l[c]·norm):
+// complex white noise scaled by sqrt(lambda)/sqrt(n), so that after an
+// unnormalised forward FFT the real and imaginary parts are two
+// independent fields with the target covariance. Each part rounds z·l,
+// then its product with norm. It is scaleRow's kernel twin and the whole
+// of scaleRow where the kernel is not built in.
+func scaleRowGo(row []complex128, z, l []float64, norm float64) {
+	for c, lc := range l {
+		row[c] = complex(z[2*c]*lc*norm, z[2*c+1]*lc*norm)
+	}
 }
 
 // buffers is the free list of transform buffers that every sampler's

@@ -152,6 +152,12 @@ type Store struct {
 	stats  ReplayStats
 }
 
+// stamp returns the time now as a record logs it: nanoseconds since the
+// Unix epoch, with no monotonic clock reading. A job keeps exactly the
+// times a replay of its records restores, so its view, elapsed time
+// included, reads the same before and after a restart.
+func (s *Store) stamp() time.Time { return time.Unix(0, s.now().UnixNano()) }
+
 // Open replays the WAL under opts.Dir (creating the directory if
 // needed) and returns the materialised store. Claimed-but-uncompleted
 // jobs are re-queued: after a crash that is recovery, after a clean
@@ -321,7 +327,7 @@ func (s *Store) Submit(spec Spec) (Job, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
+	now := s.stamp()
 	rec := &Record{
 		Kind:       KindSubmit,
 		ID:         s.nextID,
@@ -373,7 +379,7 @@ func (s *Store) Claim(id uint64, coord string, epoch uint64) (Job, error) {
 	default:
 		return Job{}, fmt.Errorf("%w: claim of %s job %d", ErrBadState, j.Status, id)
 	}
-	now := s.now()
+	now := s.stamp()
 	rec := &Record{Kind: KindClaim, ID: id, Epoch: epoch, Coord: coord, Unix: now.UnixNano()}
 	if err := s.appendLocked(rec); err != nil {
 		return Job{}, err
@@ -416,7 +422,7 @@ func (s *Store) Complete(id uint64, coord string, epoch uint64, st Status, errMs
 	if j.Epoch != epoch {
 		return fmt.Errorf("%w: job %d leased under epoch %d, completion under %d", ErrStaleEpoch, id, j.Epoch, epoch)
 	}
-	now := s.now()
+	now := s.stamp()
 	rec := &Record{
 		Kind:     KindComplete,
 		ID:       id,
@@ -454,7 +460,7 @@ func (s *Store) Cancel(id uint64, coord string, epoch uint64) error {
 	if j.Status != StatusQueued {
 		return fmt.Errorf("%w: cancel of %s job %d", ErrBadState, j.Status, id)
 	}
-	now := s.now()
+	now := s.stamp()
 	rec := &Record{
 		Kind:   KindComplete,
 		ID:     id,

@@ -44,6 +44,19 @@ func BenchmarkNormFill(b *testing.B) {
 	benchSink = dst[0]
 }
 
+// BenchmarkNormFillRow draws 2,048 normals per call, one padded row of
+// a paper-scale grf.SamplePair (1024 complex points), and reports the
+// cost per draw.
+func BenchmarkNormFillRow(b *testing.B) {
+	r := NewRNG(1)
+	dst := make([]float64, 2048)
+	for i := 0; i < b.N; i++ {
+		r.NormFill(dst)
+	}
+	benchSink = dst[0]
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/draw")
+}
+
 func BenchmarkNormFillMathRand(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	dst := make([]float64, 20)

@@ -190,11 +190,15 @@ func stripJ(i int32, m uint32, sign int32, above bool) (j int32, ok bool) {
 // TestNormStripBoundaries scripts the register so that the ziggurat's
 // first draw sits at each strip's acceptance bound kn[i]: for all 128
 // strips, both signs, the literal draws j = ±kn[i] and ±(kn[i]-1) and the
-// draws of strip i closest to kn[i] from below and from above. Wedge
-// draws are scripted to accept and to reject, tail draws to loop once
-// and to hit Float64's resample of a draw that rounds to 1. Norm and
-// NormFill must return what math/rand's NormFloat64 returns on the same
-// words, and leave the stream at the same word.
+// draws of strip i closest to kn[i] from below and from above, and
+// j = MinInt32. Wedge draws are scripted to accept and to reject, twice
+// in a row, with a uniform that fails the fast test itself and with one
+// that rounds to 1 and is drawn again; tail draws to loop once and to hit
+// Float64's resample of a draw that rounds to 1. Norm, a short NormFill
+// and a NormFill on the kernel must return what math/rand's NormFloat64
+// returns on the same words, and leave the stream at the same word. The
+// kernel's fills put the scripted words after 40 to 43 others, so that
+// the case starts at each lane of a group of four.
 func TestNormStripBoundaries(t *testing.T) {
 	fill := jWord(0) // strip 0, accepted at once: Norm returns 0
 	var cases [][]uint64
@@ -213,7 +217,10 @@ func TestNormStripBoundaries(t *testing.T) {
 			cases = append(cases,
 				[]uint64{jWord(j), uWord(0), fill},
 				[]uint64{jWord(j), uWord(1 - 0x1p-53), fill, fill},
-				[]uint64{jWord(j), uWord(0.5), fill, fill})
+				[]uint64{jWord(j), uWord(0.5), fill, fill},
+				[]uint64{jWord(j), uWord(1 - 0x1p-53), jWord(j), uWord(1 - 0x1p-53), fill, fill},
+				[]uint64{jWord(j), jWord(j), fill, fill},
+				[]uint64{jWord(j), 1<<63 - 1, uWord(0.5), fill, fill})
 		}
 	}
 	for i := int32(0); i < 128; i++ {
@@ -231,29 +238,39 @@ func TestNormStripBoundaries(t *testing.T) {
 		}
 	}
 	add(math.MinInt32)
+	dst := make([]float64, 256)
 	for _, words := range cases {
-		for _, fill := range []bool{false, true} {
+		// -1 draws with Norm, 0 with a 3-draw NormFill, and 40 to 43 put
+		// the words that far into a fill on the kernel.
+		for _, lead := range []int{-1, 0, 40, 41, 42, 43} {
 			r := NewRNG(1)
-			script(t, r, words)
+			led := make([]uint64, max(lead, 0), max(lead, 0)+len(words))
+			for k := range led {
+				led[k] = fill
+			}
+			script(t, r, append(led, words...))
 			ref := rand.New(&wordSource{r: *r})
-			if fill {
-				// A NormFill whose first draw is the scripted one.
-				dst := make([]float64, 3)
-				r.NormFill(dst)
-				for k, got := range dst {
-					if want := ref.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("words %#x: NormFill[%d] = %v, math/rand gives %v", words, k, got, want)
-					}
-				}
-			} else {
+			switch lead {
+			case -1:
 				for k := 0; k < 3; k++ {
 					if got, want := r.Norm(), ref.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("words %#x: Norm #%d = %v, math/rand gives %v", words, k, got, want)
 					}
 				}
+			default:
+				n := 3
+				if lead > 0 {
+					n = len(dst)
+				}
+				r.NormFill(dst[:n])
+				for k, got := range dst[:n] {
+					if want := ref.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("words %#x after %d: NormFill[%d] = %v, math/rand gives %v", words, lead, k, got, want)
+					}
+				}
 			}
 			if got, want := r.Int63(), ref.Int63(); got != want {
-				t.Fatalf("words %#x: next Int63 = %d, math/rand gives %d", words, got, want)
+				t.Fatalf("words %#x after %d: next Int63 = %d, math/rand gives %d", words, lead, got, want)
 			}
 		}
 	}
@@ -323,7 +340,7 @@ func FuzzRNGStream(f *testing.F) {
 				// bounds above 2^31-1.
 				op.n = 1 + op.n*op.n*op.n<<(op.n%40)
 			case opNormFill:
-				op.n *= 12 // up to 3060 draws
+				op.n *= 13 // up to 3315 draws, every length mod 4
 			}
 			r, ref = checkOp(t, r, ref, op)
 		}

@@ -16,10 +16,21 @@ import "math"
 func (r *RNG) Norm() float64 { return r.normFrom(int32(r.uint32())) }
 
 // NormFill fills dst with standard normal samples: the values, and the
-// stream position, of len(dst) Norm calls. The loop steps the register
-// itself and makes no call while draws land inside their strip, which
-// is more than 99% of them; the rest finish in normFrom.
+// stream position, of len(dst) Norm calls. On amd64 CPUs with AVX2 and
+// BMI2, fills of normKernelMin draws or more run mostly on an assembly
+// kernel (norm_amd64.go); everything else runs normFill, the kernel's
+// twin.
 func (r *RNG) NormFill(dst []float64) {
+	if normKernel && len(dst) >= normKernelMin {
+		dst = dst[r.normFillKernel(dst):]
+	}
+	r.normFill(dst)
+}
+
+// normFill is NormFill's Go loop. It steps the register itself and makes
+// no call while draws land inside their strip, which is more than 97% of
+// them; the rest finish in normFrom.
+func (r *RNG) normFill(dst []float64) {
 	tap, feed := r.tap, r.feed
 	for k := range dst {
 		tap--
@@ -67,12 +78,17 @@ func (r *RNG) normFrom(j int32) float64 {
 			}
 			return -rn - x
 		}
-		// The wedge between strips i and i-1.
-		if fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+		if inWedge(i, x, r.Float64()) {
 			return x
 		}
 		j = int32(r.uint32())
 	}
+}
+
+// inWedge is the wedge test between strips i and i-1: whether the point
+// at x, with its height drawn as the uniform u, lies under the curve.
+func inWedge(i int32, x, u float64) bool {
+	return fn[i]+float32(u)*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x))
 }
 
 const rn = 3.442619855899
