@@ -201,6 +201,15 @@ func TestRunDynamicBadHorizon(t *testing.T) {
 	if err := run([]string{"-dynamic", "-horizon", "3,x"}, &buf); err == nil {
 		t.Fatal("malformed -horizon accepted")
 	}
+	// Years that parse but are not finite fail before the fresh epoch
+	// runs, with an error that names the year.
+	for _, h := range []string{"NaN", "Inf", "3,Inf"} {
+		buf.Reset()
+		err := run([]string{"-dynamic", "-threads", "4", "-duration", "20", "-horizon", h}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("-horizon %s: error %v, want one naming the year that is not finite", h, err)
+		}
+	}
 }
 
 // TestRunDynamicNonFiniteDuration pins that a NaN or infinite -duration is

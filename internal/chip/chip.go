@@ -18,6 +18,7 @@ import (
 	"vasched/internal/tech"
 	"vasched/internal/thermal"
 	"vasched/internal/varmodel"
+	"vasched/internal/vmath"
 	"vasched/internal/workload"
 )
 
@@ -60,6 +61,8 @@ type Chip struct {
 // evalScratch is one evaluation's worth of reusable buffers.
 type evalScratch struct {
 	dyn, coreDyn, leak []float64
+	exps               []float64 // leakInto's exponentials, two per block
+	on                 []int32   // leakInto's powered blocks
 	fps                *thermal.FixedPointScratch
 }
 
@@ -85,6 +88,8 @@ func (c *Chip) getScratch() *evalScratch {
 		dyn:     make([]float64, nb),
 		coreDyn: make([]float64, c.NumCores()),
 		leak:    make([]float64, nb),
+		exps:    make([]float64, 2*nb),
+		on:      make([]int32, nb),
 		fps:     c.Therm.NewFixedPointScratch(),
 	}
 }
@@ -311,22 +316,50 @@ func (c *Chip) blockStatic(bi int, v, tempC, uplift float64) float64 {
 // leakInto writes the per-block leakage for the given states at block
 // temperatures temps into leak: active core blocks leak at the core's
 // supply; L2 leaks at nominal; powered-off cores are gated (no leakage).
-func (c *Chip) leakInto(leak []float64, states []CoreState, temps []float64) []float64 {
-	sigma := c.Maps.VthSigmaRan
-	blocks := c.FP.Blocks
-	for bi := range blocks {
-		b := &blocks[bi]
-		v := c.Tech.VddNominal
-		if b.Kind != floorplan.UnitL2 {
-			if states[b.Core].App == nil {
-				leak[bi] = 0
-				continue
-			}
-			v = states[b.Core].V
+// A powered block's leakage is blockStatic's at the random-variation
+// uplift, in three passes over the powered blocks only: their two
+// exponential arguments each, the law's and the uplift's, then all the
+// exponentials in one vmath.Exp call, then the products. exps is
+// scratch of at least 2·len(leak) and on of at least len(leak).
+func (c *Chip) leakInto(leak, exps []float64, on []int32, states []CoreState, temps []float64) []float64 {
+	m := 0
+	for core := range states {
+		if states[core].App == nil {
+			continue
 		}
-		leak[bi] = c.blockStatic(bi, v, temps[bi], c.leakLaw.RandomUplift(sigma, temps[bi]))
+		for _, bi := range c.FP.CoreBlockIndices(core) {
+			on[m] = int32(bi)
+			m++
+		}
+	}
+	for _, bi := range c.FP.L2BlockIndices() {
+		on[m] = int32(bi)
+		m++
+	}
+	sigma := c.Maps.VthSigmaRan
+	for k, bi := range on[:m] {
+		v := c.blockSupply(int(bi), states)
+		vt := tech.ThermalVoltage(temps[bi])
+		exps[2*k] = c.leakLaw.FactorArg(c.blockVthEff[bi], v, temps[bi], vt)
+		exps[2*k+1] = c.leakLaw.UpliftArg(sigma, vt)
+	}
+	vmath.Exp(exps[:2*m], exps[:2*m])
+	clear(leak)
+	for k, bi := range on[:m] {
+		v := c.blockSupply(int(bi), states)
+		leak[bi] = c.blockRefW[bi] * c.leakLaw.FactorFromExp(exps[2*k], v, temps[bi]) * exps[2*k+1]
 	}
 	return leak
+}
+
+// blockSupply returns the supply of block bi under states: nominal for
+// an L2 bank, else its core's.
+func (c *Chip) blockSupply(bi int, states []CoreState) float64 {
+	b := &c.FP.Blocks[bi]
+	if b.Kind == floorplan.UnitL2 {
+		return c.Tech.VddNominal
+	}
+	return states[b.Core].V
 }
 
 // Evaluate computes the chip's steady-state power and temperature for the
@@ -339,7 +372,7 @@ func (c *Chip) Evaluate(states []CoreState, cpu *cpusim.Model) (*EvalResult, err
 	if err != nil {
 		return nil, err
 	}
-	leakage := func(temps []float64) []float64 { return c.leakInto(sc.leak, states, temps) }
+	leakage := func(temps []float64) []float64 { return c.leakInto(sc.leak, sc.exps, sc.on, states, temps) }
 	temps, leak, iters, err := c.Therm.FixedPointWith(sc.fps, sc.dyn, leakage, 0.01, 60)
 	if err != nil {
 		return nil, err
@@ -363,6 +396,8 @@ func (c *Chip) Evaluate(states []CoreState, cpu *cpusim.Model) (*EvalResult, err
 type TransientState struct {
 	c                              *Chip
 	dyn, coreDyn, leak, total, rhs []float64
+	exps                           []float64 // leakInto's exponentials, two per block
+	on                             []int32   // leakInto's powered blocks
 	prev                           []float64 // block temperatures the next step starts from
 	stepper                        *thermal.Transient
 	dtMS                           float64
@@ -378,6 +413,8 @@ func (c *Chip) NewTransientState() *TransientState {
 		dyn:     make([]float64, nb),
 		coreDyn: make([]float64, nc),
 		leak:    make([]float64, nb),
+		exps:    make([]float64, 2*nb),
+		on:      make([]int32, nb),
 		total:   make([]float64, nb),
 		rhs:     make([]float64, nb),
 		prev:    make([]float64, nb),
@@ -410,7 +447,7 @@ func (ts *TransientState) Step(states []CoreState, dtMS float64) (*EvalResult, e
 		ts.stepper, ts.dtMS = stepper, dtMS
 	}
 	copy(ts.prev, ts.res.BlockTempC)
-	leak := c.leakInto(ts.leak, states, ts.prev)
+	leak := c.leakInto(ts.leak, ts.exps, ts.on, states, ts.prev)
 	for i := range ts.total {
 		ts.total[i] = ts.dyn[i] + leak[i]
 	}

@@ -374,18 +374,27 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 		phaseIdx[i], _ = a.PhaseIndexAt(elapsed[i])
 	}
 
-	// UniFreq cores share one clock: it runs at the slowest core's rated
-	// frequency at the common supply, and the governor's clamp stops at
-	// the highest of the cores' lowest feasible levels.
-	vTop := len(c.Levels) - 1
-	var uniFreq []float64
+	// clock[core*nl+l], read on every tick, is the frequency core runs
+	// at on ladder level l: its rated frequency there. UniFreq cores
+	// share one clock: it runs at the slowest core's rated frequency at
+	// the common supply, and the governor's clamp stops at the highest of
+	// the cores' lowest feasible levels.
+	vTop, nl := len(c.Levels)-1, len(c.Levels)
+	clock := make([]float64, c.NumCores()*nl)
+	for core := 0; core < c.NumCores(); core++ {
+		for l, v := range c.Levels {
+			clock[core*nl+l] = c.FmaxAt(core, v)
+		}
+	}
 	uniFloor := 0
 	if s.cfg.Mode == ModeUniFreq {
-		uniFreq = make([]float64, len(c.Levels))
-		for l, v := range c.Levels {
-			uniFreq[l] = c.FmaxAt(0, v)
+		for l := range c.Levels {
+			uni := clock[l]
 			for core := 1; core < c.NumCores(); core++ {
-				uniFreq[l] = min(uniFreq[l], c.FmaxAt(core, v))
+				uni = min(uni, clock[core*nl+l])
+			}
+			for core := 0; core < c.NumCores(); core++ {
+				clock[core*nl+l] = uni
 			}
 		}
 		for core := 0; core < c.NumCores(); core++ {
@@ -533,11 +542,7 @@ func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats
 			if limit := vTop - depth; lvl > limit {
 				lvl = max(limit, c.MinLevelIndex(coreID), uniFloor)
 			}
-			v := c.Levels[lvl]
-			f := c.FmaxAt(coreID, v)
-			if s.cfg.Mode == ModeUniFreq {
-				f = uniFreq[lvl]
-			}
+			v, f := c.Levels[lvl], clock[coreID*nl+lvl]
 			states[coreID] = chip.CoreState{App: app, V: v, F: f, ElapsedMS: elapsed[t]}
 			keys[coreID] = evalKey{app: app, v: v, f: f, phase: phaseIdx[t]}
 			freqs[t] = f

@@ -15,4 +15,8 @@ func AVX2() bool { return avx2 }
 // instructions, such as SHRX.
 func BMI2() bool { return bmi2 }
 
-var avx, avx2, bmi2 = detect()
+// FMA reports whether AVX is usable and the CPU also has the fused
+// multiply-add instructions (FMA3).
+func FMA() bool { return fma }
+
+var avx, avx2, bmi2, fma = detect()

@@ -2,4 +2,4 @@
 
 package cpufeat
 
-func detect() (avx, avx2, bmi2 bool) { return false, false, false }
+func detect() (avx, avx2, bmi2, fma bool) { return false, false, false, false }

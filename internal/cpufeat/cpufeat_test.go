@@ -9,15 +9,18 @@ import (
 )
 
 // TestDetectMatchesLinux checks the detection against the flags Linux
-// lists in /proc/cpuinfo, which name avx and avx2 only once the kernel
-// has enabled the YMM state.
+// lists in /proc/cpuinfo, which name avx, avx2 and fma only once the
+// kernel has enabled the YMM state.
 func TestDetectMatchesLinux(t *testing.T) {
 	if AVX2() && !AVX() {
 		t.Fatal("AVX2 reported without AVX")
 	}
+	if FMA() && !AVX() {
+		t.Fatal("FMA reported without AVX")
+	}
 	if runtime.GOARCH != "amd64" {
-		if AVX() || AVX2() || BMI2() {
-			t.Fatalf("GOARCH=%s reports AVX %v, AVX2 %v, BMI2 %v", runtime.GOARCH, AVX(), AVX2(), BMI2())
+		if AVX() || AVX2() || BMI2() || FMA() {
+			t.Fatalf("GOARCH=%s reports AVX %v, AVX2 %v, BMI2 %v, FMA %v", runtime.GOARCH, AVX(), AVX2(), BMI2(), FMA())
 		}
 		return
 	}
@@ -33,6 +36,9 @@ func TestDetectMatchesLinux(t *testing.T) {
 	}
 	if got, want := BMI2(), slices.Contains(flags, "bmi2"); got != want {
 		t.Errorf("BMI2() = %v, /proc/cpuinfo lists bmi2: %v", got, want)
+	}
+	if got, want := FMA(), slices.Contains(flags, "fma"); got != want {
+		t.Errorf("FMA() = %v, /proc/cpuinfo lists fma: %v", got, want)
 	}
 }
 

@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -298,6 +300,16 @@ func TestHorizonValidation(t *testing.T) {
 	noChip.Run.Chip = nil
 	if _, err := RunHorizon(noChip, apps, 10); err == nil {
 		t.Fatal("missing base chip accepted")
+	}
+	// A year that is not finite is refused before any epoch runs, by
+	// name: NaN passes the ordering test, since NaN <= prev is false.
+	for _, years := range [][]float64{{math.NaN()}, {math.Inf(1)}, {3, math.Inf(1)}, {3, math.NaN(), 7}} {
+		bad := hc
+		bad.Years = years
+		_, err := RunHorizon(bad, apps, 10)
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("years %v: error %v, want one naming the year that is not finite", years, err)
+		}
 	}
 }
 

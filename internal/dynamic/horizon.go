@@ -74,6 +74,9 @@ func RunHorizon(cfg HorizonConfig, apps []*workload.AppProfile, durationMS float
 	}
 	prev := 0.0
 	for _, y := range cfg.Years {
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			return nil, fmt.Errorf("dynamic: horizon year %v is not finite", y)
+		}
 		if y <= prev {
 			return nil, fmt.Errorf("dynamic: horizon years must be positive and increasing, got %v", cfg.Years)
 		}

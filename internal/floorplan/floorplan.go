@@ -150,6 +150,11 @@ func (f *Floorplan) CoreRect(c int) Rect { return f.coreRects[c] }
 // modified.
 func (f *Floorplan) CoreBlockIndices(c int) []int { return f.byCore[c] }
 
+// L2BlockIndices returns the indices into Blocks of the L2 banks, in
+// ascending order. The slice is the floorplan's own and must not be
+// modified.
+func (f *Floorplan) L2BlockIndices() []int { return f.l2Blocks }
+
 // CoreBlocks returns the blocks belonging to core c.
 func (f *Floorplan) CoreBlocks(c int) []Block {
 	idx := f.byCore[c]

@@ -167,6 +167,15 @@ func TestSmallCMPs(t *testing.T) {
 				}
 			}
 		}
+		l2, idx := f.L2Blocks(), f.L2BlockIndices()
+		if len(idx) != len(l2) {
+			t.Fatalf("n=%d: %d L2 indices for %d banks", n, len(idx), len(l2))
+		}
+		for i, bi := range idx {
+			if f.Blocks[bi] != l2[i] || i > 0 && bi <= idx[i-1] {
+				t.Fatalf("n=%d: L2 block indices %v", n, idx)
+			}
+		}
 	}
 }
 

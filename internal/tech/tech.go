@@ -217,11 +217,25 @@ func (p Params) Leakage() LeakageLaw {
 // exponential growth as Vth drops, exponential growth with temperature
 // (both through kT/q and the Vth temperature coefficient), and
 // DIBL-mediated supply dependence.
+//
+// Factor is FactorArg, math.Exp and FactorFromExp in turn; a caller with
+// many devices can compute the arguments first and their exponentials
+// together.
 func (l *LeakageLaw) Factor(vth, v, tempC float64) float64 {
-	vt := ThermalVoltage(tempC)
+	return l.FactorFromExp(math.Exp(l.FactorArg(vth, v, tempC, ThermalVoltage(tempC))), v, tempC)
+}
+
+// FactorArg returns the exponent of Factor's exponential; vt must be
+// ThermalVoltage(tempC).
+func (l *LeakageLaw) FactorArg(vth, v, tempC, vt float64) float64 {
 	vthT := vthAtTemp(vth, l.vthTempCoeff, l.tRefC, tempC)
+	return (-vthT + l.dibl*v) / (l.n * vt)
+}
+
+// FactorFromExp completes Factor from e = math.Exp(FactorArg(...)).
+func (l *LeakageLaw) FactorFromExp(e, v, tempC float64) float64 {
 	tK := tempC + 273.15
-	expTerm := math.Exp((-vthT+l.dibl*v)/(l.n*vt)) / l.expRef
+	expTerm := e / l.expRef
 	// T^2 prefactor from the subthreshold current equation; linear V from
 	// the drain term.
 	return (tK * tK) / l.tRefK2 * (v / l.vddNominal) * expTerm
@@ -237,7 +251,15 @@ func (l *LeakageLaw) Factor(vth, v, tempC float64) float64 {
 //
 // This is the mechanism by which variation increases total chip leakage
 // (paper Section 3).
+//
+// RandomUplift is math.Exp of UpliftArg.
 func (l *LeakageLaw) RandomUplift(sigmaVth, tempC float64) float64 {
-	s := l.n * ThermalVoltage(tempC)
-	return math.Exp(sigmaVth * sigmaVth / (2 * s * s))
+	return math.Exp(l.UpliftArg(sigmaVth, ThermalVoltage(tempC)))
+}
+
+// UpliftArg returns the exponent of RandomUplift's exponential; vt must
+// be ThermalVoltage(tempC).
+func (l *LeakageLaw) UpliftArg(sigmaVth, vt float64) float64 {
+	s := l.n * vt
+	return sigmaVth * sigmaVth / (2 * s * s)
 }

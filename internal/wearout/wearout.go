@@ -18,6 +18,8 @@ package wearout
 import (
 	"fmt"
 	"math"
+
+	"vasched/internal/vmath"
 )
 
 // Params holds the aging-model constants.
@@ -63,11 +65,12 @@ func (p Params) Validate() error {
 // boltzmannEV is the Boltzmann constant in eV/K.
 const boltzmannEV = 8.617333e-5
 
-// thermalAF returns the Arrhenius acceleration factor at tempC.
-func (p Params) thermalAF(tempC float64) float64 {
+// thermalArg returns the exponent of the Arrhenius acceleration factor
+// at tempC.
+func (p Params) thermalArg(tempC float64) float64 {
 	tRef := p.TRefC + 273.15
 	t := tempC + 273.15
-	return math.Exp(p.ActivationEnergyEV / boltzmannEV * (1/tRef - 1/t))
+	return p.ActivationEnergyEV / boltzmannEV * (1/tRef - 1/t)
 }
 
 // AccelerationFactor returns the combined aging rate at (tempC, v)
@@ -77,7 +80,12 @@ func (p Params) AccelerationFactor(tempC, v float64) float64 {
 	if v <= 0 {
 		return 0
 	}
-	th := p.thermalAF(tempC)
+	return p.accelerationFrom(math.Exp(p.thermalArg(tempC)), v)
+}
+
+// accelerationFrom completes AccelerationFactor at supply v > 0 from the
+// Arrhenius factor th = math.Exp(thermalArg(tempC)).
+func (p Params) accelerationFrom(th, v float64) float64 {
 	em := th
 	bti := th * math.Pow(v/p.VRef, p.VoltageExponent)
 	return p.EMWeight*em + (1-p.EMWeight)*bti
@@ -88,6 +96,7 @@ type Accumulator struct {
 	p     Params
 	aged  []float64 // equivalent nominal time per core
 	total float64   // wall time integrated
+	exps  []float64 // Add's Arrhenius factors, one per powered core
 }
 
 // NewAccumulator tracks numCores cores.
@@ -98,18 +107,36 @@ func NewAccumulator(p Params, numCores int) (*Accumulator, error) {
 	if numCores <= 0 {
 		return nil, fmt.Errorf("wearout: invalid core count %d", numCores)
 	}
-	return &Accumulator{p: p, aged: make([]float64, numCores)}, nil
+	return &Accumulator{p: p, aged: make([]float64, numCores), exps: make([]float64, numCores)}, nil
 }
 
 // Add records dt time units at the given per-core temperatures and supply
-// voltages (v[i] = 0 for powered-off cores).
+// voltages (v[i] = 0 for powered-off cores). Each core ages by
+// AccelerationFactor·dt; the powered cores' Arrhenius factors are
+// computed together in one vmath.Exp call.
 func (a *Accumulator) Add(tempC, v []float64, dt float64) error {
 	if len(tempC) != len(a.aged) || len(v) != len(a.aged) {
 		return fmt.Errorf("wearout: got %d temps / %d voltages for %d cores",
 			len(tempC), len(v), len(a.aged))
 	}
+	// A core is powered unless v <= 0, as in AccelerationFactor: a NaN
+	// supply is powered.
+	n := 0
 	for i := range a.aged {
-		a.aged[i] += a.p.AccelerationFactor(tempC[i], v[i]) * dt
+		if !(v[i] <= 0) {
+			a.exps[n] = a.p.thermalArg(tempC[i])
+			n++
+		}
+	}
+	vmath.Exp(a.exps[:n], a.exps[:n])
+	n = 0
+	for i := range a.aged {
+		af := 0.0
+		if !(v[i] <= 0) {
+			af = a.p.accelerationFrom(a.exps[n], v[i])
+			n++
+		}
+		a.aged[i] += af * dt
 	}
 	a.total += dt
 	return nil

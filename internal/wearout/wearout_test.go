@@ -51,7 +51,7 @@ func TestArrheniusMagnitude(t *testing.T) {
 	// With Ea = 0.7 eV, +10 K around 60 C accelerates aging by roughly
 	// 1.9-2.1x — the classic "10 degrees halves the lifetime" rule.
 	p := DefaultParams()
-	ratio := p.thermalAF(70) / p.thermalAF(60)
+	ratio := math.Exp(p.thermalArg(70)) / math.Exp(p.thermalArg(60))
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Fatalf("10 K acceleration = %v, want ~2", ratio)
 	}
